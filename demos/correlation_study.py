@@ -22,9 +22,9 @@ corpus = reference_corpus()
 lis = [score_entity(rec) for rec in corpus.journals if rec.group == "LIS"]
 table = rank_entities(lis, key="T")
 
-names = [row.name for row in table.rows]
-traces = [row.values["T"] for row in table.rows]
-h_values = [row.values["h"] for row in table.rows]
+names = [row.name for row in table]
+traces = [row.T for row in table]
+h_values = [row.h for row in table]
 
 # Synthetic external metric: loosely tracks the trace on a log scale,
 # with deterministic noise standing in for editorial fortune.

@@ -18,29 +18,28 @@ multi = [score_entity(rec) for rec in corpus.journals if rec.group == "multidisc
 table = rank_entities(lis, key="T")
 print("top 10 information-science journals by trace")
 print(f"{'rank':>4}  {'journal':<22} {'h':>4} {'T':>10} {'I3Y':>10}")
-for position, row in enumerate(table.rows[:10], start=1):
-    print(f"{position:>4}  {row.name:<22} {row.values['h']:>4} "
-          f"{row.values['T']:>10.1f} {row.values['I3Y']:>10.1f}")
+for position, row in enumerate(table[:10], start=1):
+    print(f"{position:>4}  {row.name:<22} {row.h:>4} {row.T:>10.1f} {row.I3Y:>10.1f}")
 
 # The same set ordered by plain h looks different: the h-index ignores
 # everything outside the core cut-off.
 by_h = rank_entities(lis, key="h")
 print("\ntop 5 by h-index alone")
-for position, row in enumerate(by_h.rows[:5], start=1):
-    print(f"{position:>4}  {row.name:<22} h={row.values['h']:>3}  T={row.values['T']:.1f}")
+for position, row in enumerate(by_h[:5], start=1):
+    print(f"{position:>4}  {row.name:<22} h={row.h:>3}  T={row.T:.1f}")
 
 # Multidisciplinary giants: the h ordering and the trace ordering disagree.
 print("\nmultidisciplinary flagships")
 for key in ("h", "T"):
     ranked = rank_entities(multi, key=key)
-    order = " > ".join(f"{row.name} ({row.values[key]:.0f})" for row in ranked.rows)
+    order = " > ".join(f"{row.name} ({getattr(row, key):.0f})" for row in ranked)
     print(f"  by {key}: {order}")
 
 # Negative traces mark sets whose uncited mass outweighs everything else;
-# a predicate drops them before ranking.
-positive = rank_entities(lis, key="T", predicate=lambda name, m, b: b.trace > 0)
-dropped = len(lis) - len(positive.rows)
-print(f"\npositive-trace filter keeps {len(positive.rows)} of {len(lis)} journals "
+# filtering the ranked rows on the exact sign drops them.
+positive = [row for row in table if row.sign == "positive"]
+dropped = len(lis) - len(positive)
+print(f"\npositive-trace filter keeps {len(positive)} of {len(lis)} journals "
       f"({dropped} nonpositive)")
-worst = rank_entities(lis, key="T", descending=False).rows[0]
-print(f"lowest trace: {worst.name} with T = {worst.values['T']:.2f}")
+worst = table[-1]
+print(f"lowest trace: {worst.name} with T = {worst.T:.2f}")

@@ -11,15 +11,7 @@ the whole 3x3 matrix into a single signed number.
 
 import numpy as np
 
-from citetrace import (
-    academic_vectors,
-    class_weights,
-    indicator_bundle,
-    partition_from_summary,
-    performance_matrix,
-    reference_corpus,
-    trace_from_counts,
-)
+from citetrace import partition_from_summary, reference_corpus, score, score_entity
 
 corpus = reference_corpus()
 
@@ -27,36 +19,35 @@ corpus = reference_corpus()
 # has the stronger h-core, the second the far heavier cited tail.
 for name in ("J Informetr", "J Am Soc Inf Sci Tec"):
     part = partition_from_summary(corpus.record(name))
-    x, y, z = academic_vectors(part)
-    m = performance_matrix(part)
-    b = indicator_bundle(part)
+    s = score(part, name)
+    matrix = np.array([[s.X1, s.X2, s.X3],
+                       [s.Y1, s.Y2, s.Y3],
+                       [s.Z1, s.Z2, s.Z3]])
 
     print(f"{name}  (P={part.papers}, h={part.h}, C={part.citations})")
     with np.printoptions(precision=2, suppress=True):
-        print(m.as_matrix())
-    print(f"  T = {m.x1:.2f} + {m.y2:.2f} + {m.z3:.2f} = {m.trace:.2f}  [{b.sign}]")
-    share = m.y2 / m.trace
+        print(matrix)
+    print(f"  T = {s.X1:.2f} + {s.Y2:.2f} + {s.Z3:.2f} = {s.T:.2f}  [{s.sign}]")
+    share = s.Y2 / s.T
     print(f"  tail citations carry {share:.1%} of the trace\n")
 
 # The trace needs only four class counts besides the two totals.
 part = partition_from_summary(corpus.record("Ye FY"))
-direct = trace_from_counts(part.core_papers, part.tail_citations,
-                           part.excess_citations, part.uncited_papers,
-                           part.papers, part.citations)
-print(f"Ye FY: trace from counts = {direct:.4f}, "
-      f"from the matrix = {performance_matrix(part).trace:.4f}")
+s = score(part, "Ye FY")
+direct = (part.core_papers ** 2 / part.papers + part.tail_citations ** 2 / part.citations
+          + part.excess_citations ** 2 / part.citations
+          - part.uncited_papers ** 2 / part.papers)
+print(f"Ye FY: trace from counts = {direct:.4f}, from the matrix = {s.T:.4f}")
 
 # Weights are each class's share of its own total, so I3X and I3Y are
 # the same numbers seen as weighted sums of the raw masses.
-w = class_weights(part)
-b = indicator_bundle(part)
-print(f"publication weights: core={w.pub_core:.2f} tail={w.pub_tail:.2f} "
-      f"uncited={w.pub_uncited:.2f}")
-print(f"I3X = {b.i3x:.4f}, I3Y = {b.i3y:.4f}")
+weights = [n / part.papers for n in (part.core_papers, part.tail_papers, part.uncited_papers)]
+print(f"publication weights: core={weights[0]:.2f} tail={weights[1]:.2f} "
+      f"uncited={weights[2]:.2f}")
+print(f"I3X = {s.I3X:.4f}, I3Y = {s.I3Y:.4f}")
 
 # A set with many uncited papers and little excess can go negative:
 # the uncited penalty Pz^2/P dominates Z3.
-hamburg = partition_from_summary(corpus.record("Univ Hamburg"))
-m = performance_matrix(hamburg)
-print(f"\nUniv Hamburg: Z3 = {m.z3:.1f} (uncited penalty), "
-      f"yet T = {m.trace:.1f} stays positive thanks to Y2 = {m.y2:.1f}")
+hamburg = score_entity(corpus.record("Univ Hamburg"))
+print(f"\nUniv Hamburg: Z3 = {hamburg.Z3:.1f} (uncited penalty), "
+      f"yet T = {hamburg.T:.1f} stays positive thanks to Y2 = {hamburg.Y2:.1f}")

@@ -1,9 +1,9 @@
 """citetrace: h-index core/tail analytics for publication/citation records.
 
 Decomposes a document set into h-core, h-tail and uncited classes,
-normalizes the class masses into the academic vectors X, Y and Z,
-assembles the 3x3 performance matrix, and condenses it into the
-academic trace T together with the I3X/I3Y weighted indicators.
+then scores the partition in one step: the academic vectors X, Y and
+Z (the rows of the 3x3 performance matrix), the academic trace T and
+the I3X/I3Y weighted indicators, as one ``Scores`` row.
 Includes deterministic ranking, Pearson/Spearman correlation with
 significance levels, dataset parsing, and a bundled reference corpus
 with golden expected values.
@@ -39,18 +39,7 @@ from .errors import (
     UnknownIndicator,
     ValidationError,
 )
-from .indicators import (
-    IndicatorBundle,
-    PerformanceMatrix,
-    WeightScheme,
-    academic_vectors,
-    class_weights,
-    i3_aggregate,
-    indicator_bundle,
-    performance_matrix,
-    score_entity,
-    trace_from_counts,
-)
+from .indicators import INDICATOR_KEYS, Scores, score, score_entity
 from .partition import (
     CitationList,
     Partition,
@@ -61,7 +50,7 @@ from .partition import (
     plausibility_warnings,
     summarize,
 )
-from .ranking import INDICATOR_KEYS, RankRow, RankTable, indicator_values, rank_entities
+from .ranking import rank_entities
 from .reference import (
     ReferenceCorpus,
     ReferenceReport,
@@ -83,20 +72,10 @@ __all__ = [
     "partition_from_summary",
     "summarize",
     "plausibility_warnings",
-    "WeightScheme",
-    "PerformanceMatrix",
-    "IndicatorBundle",
-    "class_weights",
-    "academic_vectors",
-    "performance_matrix",
-    "trace_from_counts",
-    "i3_aggregate",
-    "indicator_bundle",
-    "score_entity",
     "INDICATOR_KEYS",
-    "RankRow",
-    "RankTable",
-    "indicator_values",
+    "Scores",
+    "score",
+    "score_entity",
     "rank_entities",
     "pearson",
     "spearman",

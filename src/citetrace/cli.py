@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -29,9 +30,9 @@ from .datasets import (
     parse_summary_csv,
 )
 from .errors import CitetraceError, JoinError
-from .indicators import score_entity
+from .indicators import INDICATOR_KEYS, Scores, score
 from .partition import partition_from_list, partition_from_summary, plausibility_warnings, SummaryRecord
-from .ranking import INDICATOR_KEYS, RankTable, indicator_values, rank_entities
+from .ranking import rank_entities
 from .reference import journals_dataset, units_dataset, validate_corpus
 
 _FORMATS = ("summary", "citations", "json")
@@ -74,12 +75,17 @@ def _select_group(dataset: DatasetFile, group: str | None) -> tuple:
                  if getattr(r, "group", None) and r.group.lower() == wanted)
 
 
-def _emit_plausibility(records) -> None:
+def _score_records(records, warn: bool = False) -> list[Scores]:
+    """Partition each record once and score it; with warn, also print its plausibility warnings."""
+    scores = []
     for rec in records:
         part = (partition_from_summary(rec) if isinstance(rec, SummaryRecord)
                 else partition_from_list(rec))
-        for warning in plausibility_warnings(part):
-            click.echo(f"warning: {rec.name}: {warning}", err=True)
+        if warn:
+            for warning in plausibility_warnings(part):
+                click.echo(f"warning: {rec.name}: {warning}", err=True)
+        scores.append(score(part, rec.name))
+    return scores
 
 
 def _format_sig(value: float, figures: int) -> str:
@@ -141,13 +147,7 @@ def _render(output: str, headers: Sequence[str], rows: Sequence[Sequence], figur
 
 
 def _entity_headers(mask_x3: bool) -> list[str]:
-    keys = [k for k in INDICATOR_KEYS if not (mask_x3 and k == "X3")]
-    return ["name"] + keys + ["sign"]
-
-
-def _entity_row(name: str, values: dict, sign: str, mask_x3: bool) -> list:
-    keys = [k for k in INDICATOR_KEYS if not (mask_x3 and k == "X3")]
-    return [name] + [values[k] for k in keys] + [sign]
+    return [f for f in Scores._fields if not (mask_x3 and f == "X3")]
 
 
 class _Command(click.Command):
@@ -190,12 +190,10 @@ _precision_option = click.option("--precision", type=click.IntRange(1, 17), defa
 def compute(input_, format_, output, group, mask_x3, precision) -> None:
     """Per-entity matrix entries, trace, h, I3X, I3Y and the sign flag."""
     records = _select_group(_load_dataset(input_, format_), group)
-    _emit_plausibility(records)
-    rows = []
-    for rec in records:
-        name, matrix, bundle = score_entity(rec)
-        rows.append(_entity_row(name, indicator_values(matrix, bundle), bundle.sign, mask_x3))
-    click.echo(_render(output, _entity_headers(mask_x3), rows, precision), nl=False)
+    scores = _score_records(records, warn=True)
+    headers = _entity_headers(mask_x3)
+    row = attrgetter(*headers)
+    click.echo(_render(output, headers, [row(s) for s in scores], precision), nl=False)
 
 
 @main.command(cls=_Command)
@@ -211,33 +209,31 @@ def compute(input_, format_, output, group, mask_x3, precision) -> None:
 def rank(input_, format_, output, group, key, positive_only, mask_x3, precision) -> None:
     """Rank entities by an indicator; ties break by name."""
     records = _select_group(_load_dataset(input_, format_), group)
-    entities = [score_entity(rec) for rec in records]
-    predicate = (lambda name, m, b: b.trace > 0) if positive_only else None
-    table: RankTable = rank_entities(entities, key=key, predicate=predicate)
-    headers = ["rank"] + _entity_headers(mask_x3)
-    rows = [[i] + _entity_row(row.name, row.values, row.sign, mask_x3)
-            for i, row in enumerate(table.rows, start=1)]
-    click.echo(_render(output, headers, rows, precision), nl=False)
+    ranked = rank_entities(_score_records(records), key=key)
+    if positive_only:
+        ranked = [s for s in ranked if s.sign == "positive"]
+    headers = _entity_headers(mask_x3)
+    row = attrgetter(*headers)
+    rows = [(i, *row(s)) for i, s in enumerate(ranked, start=1)]
+    click.echo(_render(output, ["rank"] + headers, rows, precision), nl=False)
 
 
-def _join_metrics(entities, metrics: MetricTable | None):
-    """Inner-join computed entities with metric rows; warn on mismatches."""
-    computed = [(name, indicator_values(matrix, bundle))
-                for name, matrix, bundle in entities]
+def _join_metrics(scores: list[Scores], metrics: MetricTable | None):
+    """Inner-join scored entities with metric rows; warn on mismatches."""
     if metrics is None:
-        return computed, {}
-    matched = [(name, values) for name, values in computed if name in metrics.rows]
-    matched_names = {name for name, _ in matched}
-    for name, _ in computed:
-        if name not in matched_names:
-            click.echo(f"warning: no metric row for entity {name!r}", err=True)
+        return scores, {}
+    matched = [s for s in scores if s.name in metrics.rows]
+    matched_names = {s.name for s in matched}
+    for s in scores:
+        if s.name not in matched_names:
+            click.echo(f"warning: no metric row for entity {s.name!r}", err=True)
     for name in metrics.rows:
         if name not in matched_names:
             click.echo(f"warning: metric row {name!r} matches no entity", err=True)
     if not matched:
         raise JoinError("no entity names in common between dataset and metric file")
     metric_columns = {
-        metric: [metrics.rows[name][i] for name, _ in matched]
+        metric: [metrics.rows[s.name][i] for s in matched]
         for i, metric in enumerate(metrics.metrics)
     }
     return matched, metric_columns
@@ -260,15 +256,15 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     metric file is given.
     """
     records = _select_group(_load_dataset(input_, format_), group)
-    entities = [score_entity(rec) for rec in records]
+    scores = _score_records(records)
     metrics = _load_metrics(metric_file) if metric_file else None
-    joined, metric_columns = _join_metrics(entities, metrics)
+    joined, metric_columns = _join_metrics(scores, metrics)
     if not columns:
         columns = ("T", *metric_columns) if metric_columns else ("T", "h", "I3X", "I3Y")
     series = []
     for column in columns:
         if column in INDICATOR_KEYS:
-            series.append((column, [values[column] for _, values in joined]))
+            series.append((column, [getattr(s, column) for s in joined]))
         elif column in metric_columns:
             series.append((column, metric_columns[column]))
         else:
@@ -308,17 +304,17 @@ def validate_reference() -> None:
 def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     """Emit name,T,<metric> rows for external plotting."""
     records = _select_group(_load_dataset(input_, format_), group)
-    entities = [score_entity(rec) for rec in records]
+    scores = _score_records(records)
     metrics = _load_metrics(metric_file)
-    joined, metric_columns = _join_metrics(entities, metrics)
+    joined, metric_columns = _join_metrics(scores, metrics)
     metric = metrics.metrics[0]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "T", metric])
-    for (name, values), metric_value in zip(joined, metric_columns[metric]):
-        if positive_only and values["T"] <= 0:
+    for s, metric_value in zip(joined, metric_columns[metric]):
+        if positive_only and s.sign != "positive":
             continue
-        writer.writerow([name, repr(values["T"]), repr(metric_value)])
+        writer.writerow([s.name, repr(s.T), repr(metric_value)])
     click.echo(out.getvalue(), nl=False)
 
 

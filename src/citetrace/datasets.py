@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -59,7 +60,10 @@ class MetricTable:
 
 def _text(data: Union[bytes, str]) -> str:
     if isinstance(data, bytes):
-        text = data.decode("utf-8-sig")
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            raise ParseError("input is not UTF-8 text") from None
     else:
         text = data.lstrip("﻿")
     return text
@@ -232,9 +236,12 @@ def parse_metric_csv(data: Union[bytes, str], source: str | None = None) -> Metr
         if name in rows:
             raise DuplicateEntity(f"row {line}: duplicate entity {name!r}")
         try:
-            rows[name] = tuple(float(cell) for cell in row[1:])
+            values = tuple(float(cell) for cell in row[1:])
         except ValueError:
             raise ParseError(f"row {line}: metric values must be numeric") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(f"row {line}: metric values must be finite")
+        rows[name] = values
     return MetricTable(metrics=metrics, rows=rows)
 
 

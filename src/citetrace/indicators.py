@@ -1,23 +1,21 @@
-"""Academic vectors, the performance matrix, its trace, and I3-style indicators.
+"""The scoring kernel: one partition in, one row of 13 indicators out.
 
 Each publication class mass Pi maps to a normalized score Pi^2/P (its
 own share of the set times its size), and each citation class mass Ci
 to Ci^2/C.  The three publication scores form the vector X, the three
 citation scores the vector Y, and Z = Y - X.  Stacking X, Y, Z gives a
-3x3 performance matrix whose trace X1 + Y2 + Z3 condenses core papers,
-tail citations, excess citations, and the uncited penalty into one
-scalar.  Class counts stay integral until the final divisions, so all
-squares are exact before rounding.
+3x3 performance matrix whose trace T = X1 + Y2 + Z3 condenses core
+papers, tail citations, excess citations, and the uncited penalty into
+one scalar; I3X and I3Y are the row sums of X and Y.  Class counts stay
+integral until the final divisions, so all squares are exact before
+rounding, and the sign of T is decided in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Union
 
-import numpy as np
-
-from .errors import LengthMismatch, ValidationError
+from .errors import ValidationError
 from .partition import (
     CitationList,
     Partition,
@@ -26,202 +24,70 @@ from .partition import (
     partition_from_summary,
 )
 
-__all__ = [
-    "WeightScheme",
-    "PerformanceMatrix",
-    "IndicatorBundle",
-    "class_weights",
-    "academic_vectors",
-    "performance_matrix",
-    "trace_from_counts",
-    "i3_aggregate",
-    "indicator_bundle",
-    "score_entity",
-]
-
-_REL_TOL = 1e-12
+__all__ = ["INDICATOR_KEYS", "Scores", "score", "score_entity"]
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
+class Scores(NamedTuple):
+    """One entity's indicators, fields in report column order.
 
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Class-share weights: each class weighted by its own fraction of the set.
-
-    The publication triple always sums to 1.  The citation triple sums to 1
-    as well, except for fully uncited sets where all three weights are 0.
+    ``sign`` is "positive" exactly when the exact (rational) trace
+    exceeds zero, whatever the rounding of the float ``T``.
     """
 
-    pub_core: float
-    pub_tail: float
-    pub_uncited: float
-    cite_core: float
-    cite_tail: float
-    cite_excess: float
-
-    def __post_init__(self) -> None:
-        for w in (self.pub_core, self.pub_tail, self.pub_uncited,
-                  self.cite_core, self.cite_tail, self.cite_excess):
-            if not 0.0 <= w <= 1.0:
-                raise ValidationError(f"weight out of [0, 1]: {w!r}")
-        if not _close(self.pub_core + self.pub_tail + self.pub_uncited, 1.0):
-            raise ValidationError("publication weights must sum to 1")
-        cite_sum = self.cite_core + self.cite_tail + self.cite_excess
-        if cite_sum != 0.0 and not _close(cite_sum, 1.0):
-            raise ValidationError("citation weights must sum to 1 (or all be 0 for uncited sets)")
-
-
-@dataclass(frozen=True)
-class PerformanceMatrix:
-    """The nine normalized class scores and the trace of their 3x3 arrangement."""
-
-    x1: float
-    x2: float
-    x3: float
-    y1: float
-    y2: float
-    y3: float
-    z1: float
-    z2: float
-    z3: float
-    trace: float
-
-    def __post_init__(self) -> None:
-        for label in ("x1", "x2", "x3", "y1", "y2", "y3"):
-            if getattr(self, label) < 0.0:
-                raise ValidationError(f"{label} must be >= 0")
-        for z, y, x in ((self.z1, self.y1, self.x1),
-                        (self.z2, self.y2, self.x2),
-                        (self.z3, self.y3, self.x3)):
-            if not _close(z, y - x):
-                raise ValidationError("Z row must equal Y - X componentwise")
-        if not _close(self.trace, self.x1 + self.y2 + self.z3):
-            raise ValidationError("trace must equal X1 + Y2 + Z3")
-
-    def as_matrix(self) -> np.ndarray:
-        """Rows X, Y, Z as a 3x3 float array."""
-        return np.array([[self.x1, self.x2, self.x3],
-                         [self.y1, self.y2, self.y3],
-                         [self.z1, self.z2, self.z3]], dtype=float)
-
-
-@dataclass(frozen=True)
-class IndicatorBundle:
-    """One entity's headline indicators: h, I3X, I3Y, and the trace."""
-
+    name: str
     h: int
-    i3x: float
-    i3y: float
-    trace: float
+    X1: float
+    X2: float
+    X3: float
+    Y1: float
+    Y2: float
+    Y3: float
+    Z1: float
+    Z2: float
+    Z3: float
+    I3X: float
+    I3Y: float
+    T: float
+    sign: str
 
-    @property
-    def sign(self) -> str:
-        """'positive' exactly when the trace exceeds zero."""
-        return "positive" if self.trace > 0.0 else "nonpositive"
+
+# The indicator columns, in the order used everywhere an entity's numbers are listed.
+INDICATOR_KEYS = Scores._fields[1:-1]
 
 
-def class_weights(part: Partition) -> WeightScheme:
-    """Weights of the six classes, each equal to its share of its own total."""
+def score(part: Partition, name: str) -> Scores:
+    """All indicators of one partitioned entity."""
     p = part.papers
     c = part.citations
-    if c > 0:
-        cites = (part.core_base_citations / c, part.tail_citations / c,
-                 part.excess_citations / c)
-    else:
-        # Uncited set: Ci^2/C -> 0 as all Ci -> 0, so the citation side
-        # contributes nothing rather than dividing by zero.
-        cites = (0.0, 0.0, 0.0)
-    return WeightScheme(
-        pub_core=part.core_papers / p,
-        pub_tail=part.tail_papers / p,
-        pub_uncited=part.uncited_papers / p,
-        cite_core=cites[0],
-        cite_tail=cites[1],
-        cite_excess=cites[2],
-    )
-
-
-def _scores(part: Partition) -> tuple[float, ...]:
-    p = part.papers
-    c = part.citations
-    x1 = part.core_papers ** 2 / p
-    x2 = part.tail_papers ** 2 / p
-    x3 = part.uncited_papers ** 2 / p
-    if c > 0:
-        y1 = part.core_base_citations ** 2 / c
-        y2 = part.tail_citations ** 2 / c
-        y3 = part.excess_citations ** 2 / c
-    else:
-        y1 = y2 = y3 = 0.0
-    return x1, x2, x3, y1, y2, y3
-
-
-def academic_vectors(part: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vectors X (publication scores), Y (citation scores), Z = Y - X."""
-    x1, x2, x3, y1, y2, y3 = _scores(part)
-    x = np.array([x1, x2, x3])
-    y = np.array([y1, y2, y3])
-    return x, y, y - x
-
-
-def performance_matrix(part: Partition) -> PerformanceMatrix:
-    """Assemble the 3x3 matrix and its trace for one entity."""
-    x1, x2, x3, y1, y2, y3 = _scores(part)
+    try:
+        x1 = part.core_papers ** 2 / p
+        x2 = part.tail_papers ** 2 / p
+        x3 = part.uncited_papers ** 2 / p
+        if c > 0:
+            y1 = part.core_base_citations ** 2 / c
+            y2 = part.tail_citations ** 2 / c
+            y3 = part.excess_citations ** 2 / c
+        else:
+            # Uncited set: Ci^2/C -> 0 as all Ci -> 0.
+            y1 = y2 = y3 = 0.0
+    except OverflowError:
+        raise ValidationError(f"{name}: class scores exceed the float range") from None
     z1 = y1 - x1
     z2 = y2 - x2
     z3 = y3 - x3
-    return PerformanceMatrix(x1=x1, x2=x2, x3=x3, y1=y1, y2=y2, y3=y3,
-                             z1=z1, z2=z2, z3=z3, trace=x1 + y2 + z3)
+    # T * P * C, exactly; with C = 0 every citation term is 0 and T = -Pz^2/P <= 0.
+    exact = ((part.core_papers ** 2 * c
+              + (part.tail_citations ** 2 + part.excess_citations ** 2) * p)
+             - part.uncited_papers ** 2 * c)
+    return Scores(name, part.h, x1, x2, x3, y1, y2, y3, z1, z2, z3,
+                  x1 + x2 + x3, y1 + y2 + y3, x1 + y2 + z3,
+                  "positive" if exact > 0 else "nonpositive")
 
 
-def trace_from_counts(core_papers: int, tail_citations: int, excess_citations: int,
-                      uncited_papers: int, papers: int, citations: int) -> float:
-    """Trace directly from class counts: Pc^2/P + Ct^2/C + Ce^2/C - Pz^2/P.
-
-    The excess-minus-uncited difference is grouped exactly as in the
-    matrix assembly so both routes agree to the last bit.  A set with no
-    citations drops the two citation terms.
-    """
-    if papers < 1:
-        raise ValidationError(f"papers must be >= 1, got {papers}")
-    core = core_papers ** 2 / papers
-    penalty = uncited_papers ** 2 / papers
-    if citations > 0:
-        tail = tail_citations ** 2 / citations
-        excess = excess_citations ** 2 / citations
-    else:
-        tail = excess = 0.0
-    return core + tail + (excess - penalty)
-
-
-def i3_aggregate(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted sum of class scores; the general aggregation behind I3.
-
-    Weights are not forced to sum to 1 here: schemes derived from a
-    partition enforce that themselves.
-    """
-    if len(values) != len(weights):
-        raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
-    return float(sum(w * v for v, w in zip(values, weights)))
-
-
-def indicator_bundle(part: Partition) -> IndicatorBundle:
-    """h, I3X, I3Y and the trace for one entity."""
-    x1, x2, x3, y1, y2, y3 = _scores(part)
-    return IndicatorBundle(
-        h=part.h,
-        i3x=x1 + x2 + x3,
-        i3y=y1 + y2 + y3,
-        trace=x1 + y2 + (y3 - x3),
-    )
-
-
-def score_entity(record: Union[SummaryRecord, CitationList]) -> tuple[str, PerformanceMatrix, IndicatorBundle]:
-    """Convenience: (name, matrix, bundle) from either record type."""
+def score_entity(record: Union[SummaryRecord, CitationList]) -> Scores:
+    """Partition either record type, then score it."""
     if isinstance(record, SummaryRecord):
         part = partition_from_summary(record)
     else:
         part = partition_from_list(record)
-    return record.name, performance_matrix(part), indicator_bundle(part)
+    return score(part, record.name)

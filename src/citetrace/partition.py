@@ -101,7 +101,7 @@ def _validate_summary(name: str, p: int, h: int, pz: int, c: int, ch: int) -> No
 
 @dataclass(frozen=True)
 class Partition:
-    """The six class masses plus totals; all identities hold exactly.
+    """The six class masses plus totals (P >= 1); all identities hold exactly.
 
     papers = core_papers + tail_papers + uncited_papers,
     citations = core_base_citations + tail_citations + excess_citations,
@@ -124,6 +124,8 @@ class Partition:
                       "uncited_papers", "core_base_citations", "excess_citations",
                       "tail_citations", "core_citations"):
             _require_count(getattr(self, label), label)
+        if self.papers < 1:
+            raise ValidationError(f"P must be >= 1, got {self.papers}")
         if self.papers != self.core_papers + self.tail_papers + self.uncited_papers:
             raise ValidationError("P != Pc + Pt + Pz")
         if self.citations != self.core_base_citations + self.tail_citations + self.excess_citations:
@@ -147,14 +149,7 @@ def _counts_of(source: Union[CitationList, Sequence[int], Iterable[int]]) -> tup
 
 def h_index(source: Union[CitationList, Sequence[int]]) -> int:
     """Largest h such that at least h documents have at least h citations."""
-    ranked = sorted(_counts_of(source), reverse=True)
-    h = 0
-    for rank, cites in enumerate(ranked, start=1):
-        if cites >= rank:
-            h = rank
-        else:
-            break
-    return h
+    return partition_from_list(source).h
 
 
 def partition_from_list(source: Union[CitationList, Sequence[int]]) -> Partition:
@@ -203,9 +198,7 @@ def summarize(source: Union[CitationList, Sequence[int]]) -> SummaryRecord:
 
 
 def partition_from_summary(record: SummaryRecord) -> Partition:
-    """Derive the full partition from a validated summary record."""
-    _validate_summary(record.name, record.papers, record.h, record.uncited,
-                      record.citations, record.core_citations)
+    """Derive the full partition from a summary record (validated when built)."""
     h = record.h
     return Partition(
         papers=record.papers,

@@ -2,70 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import UnknownIndicator, ValidationError
-from .indicators import IndicatorBundle, PerformanceMatrix
+from .indicators import INDICATOR_KEYS, Scores
 
-__all__ = ["INDICATOR_KEYS", "RankRow", "RankTable", "indicator_values", "rank_entities"]
-
-# Column order used everywhere an entity's numbers are listed.
-INDICATOR_KEYS = ("h", "X1", "X2", "X3", "Y1", "Y2", "Y3", "Z1", "Z2", "Z3",
-                  "I3X", "I3Y", "T")
-
-ScoredEntity = tuple[str, PerformanceMatrix, IndicatorBundle]
+__all__ = ["rank_entities"]
 
 
-def indicator_values(matrix: PerformanceMatrix, bundle: IndicatorBundle) -> dict[str, float]:
-    """All ranking columns for one entity, keyed by indicator id."""
-    return {
-        "h": bundle.h,
-        "X1": matrix.x1, "X2": matrix.x2, "X3": matrix.x3,
-        "Y1": matrix.y1, "Y2": matrix.y2, "Y3": matrix.y3,
-        "Z1": matrix.z1, "Z2": matrix.z2, "Z3": matrix.z3,
-        "I3X": bundle.i3x, "I3Y": bundle.i3y, "T": bundle.trace,
-    }
-
-
-@dataclass(frozen=True)
-class RankRow:
-    name: str
-    values: Mapping[str, float]
-    sign: str
-
-
-@dataclass(frozen=True)
-class RankTable:
-    """Rows sorted by one indicator, ties broken by entity name."""
-
-    rows: tuple[RankRow, ...]
-    sort_key: str
-    descending: bool = True
-
-
-def rank_entities(
-    entities: Sequence[ScoredEntity],
-    key: str = "T",
-    predicate: Callable[[str, PerformanceMatrix, IndicatorBundle], bool] | None = None,
-    descending: bool = True,
-) -> RankTable:
-    """Sort entities by an indicator; the predicate filters before sorting.
+def rank_entities(scores: Sequence[Scores], key: str = "T") -> list[Scores]:
+    """Sort entities by an indicator, highest first.
 
     Ordering is byte-reproducible: ties on the sort value fall back to
     the entity name, ascending lexicographically.
     """
     if key not in INDICATOR_KEYS:
         raise UnknownIndicator(f"unknown indicator {key!r}; expected one of {', '.join(INDICATOR_KEYS)}")
-    if not entities:
+    if not scores:
         raise ValidationError("rank_entities needs at least one entity")
-    kept = [
-        RankRow(name=name, values=indicator_values(matrix, bundle), sign=bundle.sign)
-        for name, matrix, bundle in entities
-        if predicate is None or predicate(name, matrix, bundle)
-    ]
-    if descending:
-        kept.sort(key=lambda row: (-row.values[key], row.name))
-    else:
-        kept.sort(key=lambda row: (row.values[key], row.name))
-    return RankTable(rows=tuple(kept), sort_key=key, descending=descending)
+    return sorted(scores, key=lambda row: (-getattr(row, key), row.name))

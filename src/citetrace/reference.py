@@ -23,9 +23,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from .datasets import DatasetFile
-from .indicators import indicator_bundle, performance_matrix
-from .partition import SummaryRecord, partition_from_summary
-from .ranking import indicator_values
+from .indicators import score_entity
+from .partition import SummaryRecord
 
 __all__ = [
     "GoldenRow",
@@ -351,9 +350,8 @@ class ReferenceReport:
         return tuple(cell for cell in self.cells if not cell.passed)
 
 
-def _computed_values(corpus: ReferenceCorpus, name: str) -> dict[str, float]:
-    part = partition_from_summary(corpus.record(name))
-    return indicator_values(performance_matrix(part), indicator_bundle(part))
+def _computed_values(corpus: ReferenceCorpus, name: str) -> dict:
+    return score_entity(corpus.record(name))._asdict()
 
 
 def validate_corpus(corpus: ReferenceCorpus | None = None) -> ReferenceReport:

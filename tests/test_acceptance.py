@@ -14,22 +14,19 @@ import pytest
 
 from citetrace import (
     CitationList,
-    class_weights,
     h_index,
-    i3_aggregate,
-    indicator_bundle,
     partition_from_list,
     partition_from_summary,
     pearson,
-    performance_matrix,
     rank_entities,
+    score,
     score_entity,
     significance,
     spearman,
     summarize,
-    trace_from_counts,
 )
 from citetrace.reference import matches_displayed, reference_corpus
+from oracles import class_weights, i3_aggregate, trace_from_counts
 
 CORPUS_SEED = 20130322
 RANDOM_LISTS = 10_000
@@ -64,14 +61,7 @@ def _golden_cells(rows):
     total = 0
     corpus = reference_corpus()
     for row in rows:
-        part = partition_from_summary(corpus.record(row.name))
-        _, matrix, bundle = row.name, performance_matrix(part), indicator_bundle(part)
-        computed = {
-            "X1": matrix.x1, "X2": matrix.x2, "X3": matrix.x3,
-            "Y1": matrix.y1, "Y2": matrix.y2, "Y3": matrix.y3,
-            "Z1": matrix.z1, "Z2": matrix.z2, "Z3": matrix.z3,
-            "T": bundle.trace,
-        }
+        computed = score_entity(corpus.record(row.name))._asdict()
         for cell, displayed in row.displayed.items():
             total += 1
             if not matches_displayed(computed[cell], displayed):
@@ -92,26 +82,19 @@ def test_criterion_2_worked_examples():
     checked = 0
     failures = []
     for example in corpus.worked_examples:
-        part = partition_from_summary(corpus.record(example.name))
-        matrix = performance_matrix(part)
-        bundle = indicator_bundle(part)
-        computed = {
-            "X1": matrix.x1, "X2": matrix.x2, "X3": matrix.x3,
-            "Y1": matrix.y1, "Y2": matrix.y2, "Y3": matrix.y3,
-            "Z1": matrix.z1, "Z2": matrix.z2, "Z3": matrix.z3,
-        }
+        computed = score_entity(corpus.record(example.name))._asdict()
         for cell, displayed in example.matrix.items():
             checked += 1
             if not matches_displayed(computed[cell], displayed):
                 failures.append((example.name, cell))
         for displayed in example.traces:
             checked += 1
-            if not matches_displayed(bundle.trace, displayed):
+            if not matches_displayed(computed["T"], displayed):
                 failures.append((example.name, f"T={displayed}"))
     # the author trace must hold at four decimals, not merely at the 2dp display
-    ye = partition_from_summary(corpus.record("Ye FY"))
+    ye = score_entity(corpus.record("Ye FY"))
     checked += 1
-    if not matches_displayed(indicator_bundle(ye).trace, "13.2739"):
+    if not matches_displayed(ye.T, "13.2739"):
         failures.append(("Ye FY", "T=13.2739"))
     _report(2, f"four worked matrices/traces, {checked} cells", not failures)
 
@@ -123,8 +106,7 @@ def test_criterion_3_golden_universities():
     z3 = {row.name: row.displayed["Z3"] for row in corpus.golden_universities}
     assert z3 == {"Univ Heidelberg": "-2044", "Univ Hamburg": "-566.5"}
     for name in z3:
-        part = partition_from_summary(corpus.record(name))
-        assert performance_matrix(part).z3 < 0
+        assert score_entity(corpus.record(name)).Z3 < 0
     _report(3, f"university rows incl. negative Z3, {total} cells", not failures)
 
 
@@ -134,11 +116,11 @@ def test_criterion_4_ordering():
     ranked = rank_entities(lis, key="T")
     expected = [row.name for row in sorted(
         (r for r in corpus.golden_journals if r.group == "LIS"), key=lambda r: r.rank)]
-    top20_ok = [row.name for row in ranked.rows[:20]] == expected
+    top20_ok = [row.name for row in ranked[:20]] == expected
 
     multi = [score_entity(rec) for rec in corpus.journals if rec.group == "multidisciplinary"]
     multi_ranked = rank_entities(multi, key="T")
-    multi_ok = [row.name for row in multi_ranked.rows] == ["PNAS", "Nature", "Science"]
+    multi_ok = [row.name for row in multi_ranked] == ["PNAS", "Nature", "Science"]
     _report(4, "LIS top-20 order and PNAS > Nature > Science by trace",
             top20_ok and multi_ok)
 
@@ -161,8 +143,7 @@ def test_criterion_6_identity_suite():
     checked = 0
     for counts in _random_corpus():
         part = partition_from_list(counts)
-        m = performance_matrix(part)
-        b = indicator_bundle(part)
+        s = score(part, "entity")
         w = class_weights(part)
 
         assert part.papers == part.core_papers + part.tail_papers + part.uncited_papers
@@ -170,15 +151,17 @@ def test_criterion_6_identity_suite():
                                   + part.excess_citations)
         assert part.core_base_citations == part.core_papers ** 2
 
-        for z, y, x in ((m.z1, m.y1, m.x1), (m.z2, m.y2, m.x2), (m.z3, m.y3, m.x3)):
+        for z, y, x in ((s.Z1, s.Y1, s.X1), (s.Z2, s.Y2, s.X2), (s.Z3, s.Y3, s.X3)):
             assert _rel_close(z, y - x)
-        assert _rel_close(m.trace, m.x1 + m.y2 + m.z3)
-        assert _rel_close(m.trace, trace_from_counts(
+        assert _rel_close(s.T, s.X1 + s.Y2 + s.Z3)
+        via_counts = trace_from_counts(
             part.core_papers, part.tail_citations, part.excess_citations,
-            part.uncited_papers, part.papers, part.citations))
-        assert _rel_close(b.i3x, m.x1 + m.x2 + m.x3)
-        assert _rel_close(b.i3y, m.y1 + m.y2 + m.y3)
-        assert _rel_close(b.i3x, i3_aggregate(
+            part.uncited_papers, part.papers, part.citations)
+        assert _rel_close(s.T, via_counts)
+        assert s.T == via_counts  # bit for bit
+        assert _rel_close(s.I3X, s.X1 + s.X2 + s.X3)
+        assert _rel_close(s.I3Y, s.Y1 + s.Y2 + s.Y3)
+        assert _rel_close(s.I3X, i3_aggregate(
             (part.core_papers, part.tail_papers, part.uncited_papers),
             (w.pub_core, w.pub_tail, w.pub_uncited)))
         assert _rel_close(w.pub_core + w.pub_tail + w.pub_uncited, 1.0)

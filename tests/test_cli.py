@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,19 @@ JOI_CSV = "name,P,h,Pz,C,Ch\nJ Informetr,105,18,5,1132,574\n"
 
 # three entities whose h-indices are 1, 2, 3 and traces are distinct
 TRIO_CITATIONS = "name,citations\nA,1\nB,3;2\nC,5;4;3\n"
+
+DATA = Path(__file__).parent / "data"
+
+# Full-precision csv output (every column at repr precision) frozen as
+# snapshots; any change to a float's evaluation order shows up here.
+SNAPSHOTS = {
+    "compute_corpus.csv": ["compute", "--input", "corpus", "--output", "csv"],
+    "compute_units_mask_x3.csv": ["compute", "--input", "corpus:units", "--output", "csv",
+                                  "--mask-x3"],
+    "rank_lis.csv": ["rank", "--input", "corpus", "--group", "LIS", "--output", "csv"],
+    "compute_citations_small.csv": ["compute", "--input", str(DATA / "citations_small.csv"),
+                                    "--format", "citations", "--output", "csv"],
+}
 
 
 @pytest.fixture
@@ -89,6 +105,13 @@ class TestCompute:
         result = invoke(runner, ["compute", "--input", "corpus:units", "--output", "csv"])
         names = [line.split(",")[0] for line in result.stdout.splitlines()[1:]]
         assert names == ["Univ Heidelberg", "Univ Hamburg", "Leydesdorff L", "Ye FY"]
+
+
+@pytest.mark.parametrize("snapshot", sorted(SNAPSHOTS))
+def test_csv_output_matches_snapshot(runner, snapshot):
+    result = invoke(runner, SNAPSHOTS[snapshot])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / snapshot).read_bytes()
 
 
 class TestRank:
@@ -252,6 +275,62 @@ class TestPlotData:
                                  "--metric-file", str(metrics)])
         assert result.exit_code == 0
         assert "'Ghost' matches no entity" in result.stderr
+
+
+class TestExactSign:
+    # Zero's trace is exactly 1/4 + 1/5 + 9/5 - 9/4 = 0; its float sum rounds to +5.55e-17
+    DATA = "name,P,h,Pz,C,Ch\nZero,4,1,3,5,4\nGood,2,1,0,3,2\n"
+
+    def test_compute_prints_float_but_exact_sign(self, runner, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text(self.DATA)
+        rows = json.loads(invoke(runner, ["compute", "--input", str(path),
+                                          "--output", "json"]).stdout)
+        assert (rows[0]["T"], rows[0]["sign"]) == (5.551115123125783e-17, "nonpositive")
+
+    def test_positive_only_leaves_out_exact_zero(self, runner, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text(self.DATA)
+        metrics = tmp_path / "if.csv"
+        metrics.write_text("name,IF\nZero,1.0\nGood,2.0\n")
+        ranked = invoke(runner, ["rank", "--input", str(path), "--positive-only",
+                                 "--output", "json"])
+        assert [r["name"] for r in json.loads(ranked.stdout)] == ["Good"]
+        plotted = invoke(runner, ["plot-data", "--input", str(path),
+                                  "--metric-file", str(metrics), "--positive-only"])
+        assert [line.split(",")[0] for line in plotted.stdout.splitlines()[1:]] == ["Good"]
+
+
+def _run_cli(args, timeout=30):
+    """The CLI in a child process, so a hang fails the test instead of stalling it."""
+    return subprocess.run([sys.executable, "-m", "citetrace.cli", *args],
+                          capture_output=True, timeout=timeout)
+
+
+class TestBadInputEndsInOneLineError:
+    BIG = 10 ** 400
+    PAIR = b"name,P,h,Pz,C,Ch\nA,2,1,0,3,2\nB,4,1,3,5,4\n"
+
+    @pytest.mark.parametrize("data, metrics, needle", [
+        (f"name,P,h,Pz,C,Ch\nHuge,{BIG},1,0,{BIG},1\n".encode(), None, b"Huge"),
+        (b"name,P,h,Pz,C,Ch\nA\xff,2,1,0,3,2\n", None, b"UTF-8"),
+        (PAIR, b"name,IF\nA,nan\nB,1.0\n", b"row 2"),
+        (PAIR, b"name,IF\nA,1.0\nB,inf\n", b"row 3"),
+    ], ids=["overflow", "non-utf8", "nan-metric", "inf-metric"])
+    def test_exit_one_without_traceback(self, tmp_path, data, metrics, needle):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        args = ["compute", "--input", str(path)]
+        if metrics is not None:
+            metric_path = tmp_path / "metrics.csv"
+            metric_path.write_bytes(metrics)
+            args = ["correlate", "--input", str(path), "--metric-file", str(metric_path),
+                    "T", "IF"]
+        proc = _run_cli(args)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert needle in proc.stderr
 
 
 class TestTableOutput:

@@ -1,4 +1,4 @@
-"""Vectors, weights, performance matrix, trace and I3-style indicators."""
+"""The scoring kernel: vectors, matrix rows, trace, I3 sums and the exact sign."""
 
 import math
 from fractions import Fraction
@@ -9,20 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citetrace import (
-    LengthMismatch,
+    Partition,
     SummaryRecord,
     ValidationError,
-    academic_vectors,
-    class_weights,
-    i3_aggregate,
-    indicator_bundle,
     partition_from_list,
     partition_from_summary,
-    performance_matrix,
-    trace_from_counts,
+    score,
+    score_entity,
 )
-from citetrace.indicators import PerformanceMatrix, WeightScheme
 from citetrace.reference import matches_displayed
+from oracles import class_weights, i3_aggregate, trace_from_counts
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200)
 
@@ -36,7 +32,17 @@ def ye_partition():
         SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72, core_citations=51))
 
 
+def scores_of(counts):
+    return score(partition_from_list(counts), "e")
+
+
+def matrix(s):
+    return np.array([[s.X1, s.X2, s.X3], [s.Y1, s.Y2, s.Y3], [s.Z1, s.Z2, s.Z3]])
+
+
 class TestClassWeights:
+    """The share-weight oracle used by the I3 factorization checks."""
+
     def test_author_publication_weights(self):
         w = class_weights(ye_partition())
         assert w.pub_core == pytest.approx(0.2, abs=1e-15)
@@ -57,6 +63,7 @@ class TestClassWeights:
     def test_triples_sum_to_one(self, counts):
         part = partition_from_list(counts)
         w = class_weights(part)
+        assert 0.0 <= min(w) and max(w) <= 1.0
         assert rel_close(w.pub_core + w.pub_tail + w.pub_uncited, 1.0)
         cite_sum = w.cite_core + w.cite_tail + w.cite_excess
         if part.citations > 0:
@@ -64,18 +71,12 @@ class TestClassWeights:
         else:
             assert cite_sum == 0.0
 
-    def test_invalid_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            WeightScheme(pub_core=0.5, pub_tail=0.5, pub_uncited=0.5,
-                         cite_core=0.0, cite_tail=0.0, cite_excess=0.0)
-
 
 class TestAcademicVectors:
     def test_journal_vectors_at_displayed_precision(self):
-        part = partition_from_summary(
-            SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
-                          citations=1132, core_citations=574))
-        x, y, z = academic_vectors(part)
+        s = score_entity(SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
+                                       citations=1132, core_citations=574))
+        x, y, z = matrix(s)
         for value, displayed in zip(x, ("3.09", "64.04", "0.24")):
             assert matches_displayed(value, displayed)
         for value, displayed in zip(y, ("92.73", "275.06", "55.21")):
@@ -84,14 +85,14 @@ class TestAcademicVectors:
             assert matches_displayed(value, displayed)
 
     def test_author_vectors_at_displayed_precision(self):
-        x, y, _ = academic_vectors(ye_partition())
+        x, y, _ = matrix(score(ye_partition(), "Ye FY"))
         for value, displayed in zip(x, ("1", "4.84", "3.24")):
             assert matches_displayed(value, displayed)
         for value, displayed in zip(y, ("8.6806", "6.125", "9.3889")):
             assert matches_displayed(value, displayed)
 
     def test_uncited_set(self):
-        x, y, z = academic_vectors(partition_from_list([0, 0, 0, 0]))
+        x, y, z = matrix(scores_of([0, 0, 0, 0]))
         assert list(x) == [0.0, 0.0, 4.0]
         assert list(y) == [0.0, 0.0, 0.0]
         assert list(z) == [0.0, 0.0, -4.0]
@@ -99,133 +100,133 @@ class TestAcademicVectors:
 
 class TestPerformanceMatrix:
     def test_jasist_trace(self):
-        part = partition_from_summary(
-            SummaryRecord("J Am Soc Inf Sci Tec", papers=487, h=20, uncited=138,
-                          citations=2404, core_citations=712))
-        m = performance_matrix(part)
-        assert matches_displayed(m.x1, "0.82")
-        assert matches_displayed(m.y2, "1190.9")
-        assert matches_displayed(m.z3, "1.388")
-        assert matches_displayed(m.trace, "1193.1")
+        s = score_entity(SummaryRecord("J Am Soc Inf Sci Tec", papers=487, h=20, uncited=138,
+                                       citations=2404, core_citations=712))
+        assert matches_displayed(s.X1, "0.82")
+        assert matches_displayed(s.Y2, "1190.9")
+        assert matches_displayed(s.Z3, "1.388")
+        assert matches_displayed(s.T, "1193.1")
 
     def test_author_trace(self):
-        part = partition_from_summary(
-            SummaryRecord("Leydesdorff L", papers=141, h=27, uncited=23,
-                          citations=2183, core_citations=1331))
-        m = performance_matrix(part)
-        assert matches_displayed(m.x1, "5.17")
-        assert matches_displayed(m.y2, "332.53")
-        assert matches_displayed(m.z3, "162.26")
-        assert matches_displayed(m.trace, "499.96")
+        s = score_entity(SummaryRecord("Leydesdorff L", papers=141, h=27, uncited=23,
+                                       citations=2183, core_citations=1331))
+        assert matches_displayed(s.X1, "5.17")
+        assert matches_displayed(s.Y2, "332.53")
+        assert matches_displayed(s.Z3, "162.26")
+        assert matches_displayed(s.T, "499.96")
 
     def test_uncited_set_trace(self):
-        assert performance_matrix(partition_from_list([0, 0, 0, 0])).trace == -4.0
-
-    def test_inconsistent_matrix_rejected(self):
-        with pytest.raises(ValidationError):
-            PerformanceMatrix(x1=1, x2=1, x3=1, y1=2, y2=2, y3=2,
-                              z1=5, z2=1, z3=1, trace=4)
+        assert scores_of([0, 0, 0, 0]).T == -4.0
 
     @given(citation_lists)
     def test_third_row_is_second_minus_first(self, counts):
-        rows = performance_matrix(partition_from_list(counts)).as_matrix()
+        rows = matrix(scores_of(counts))
         assert np.array_equal(rows[2], rows[1] - rows[0])
 
 
 class TestTraceFromCounts:
+    """The kernel's trace against the class-count formula, on hand cases."""
+
     def test_author_arguments(self):
-        value = trace_from_counts(5, 21, 26, 9, 25, 72)
+        value = score(ye_partition(), "Ye FY").T
+        assert value == trace_from_counts(5, 21, 26, 9, 25, 72)
         assert matches_displayed(value, "13.2739")
         assert value == pytest.approx(25 / 25 + 441 / 72 + 676 / 72 - 81 / 25, abs=1e-12)
 
     def test_everything_uncited(self):
-        assert trace_from_counts(0, 0, 0, 7, 7, 0) == -7.0
+        assert scores_of([0] * 7).T == -7.0
 
     def test_single_cited_paper(self):
-        assert trace_from_counts(1, 0, 0, 0, 1, 1) == 1.0
+        assert scores_of([1]).T == 1.0
 
     def test_rejects_zero_papers(self):
         with pytest.raises(ValidationError):
-            trace_from_counts(0, 0, 0, 0, 0, 0)
+            Partition(papers=0, citations=0, core_papers=0, tail_papers=0, uncited_papers=0,
+                      core_base_citations=0, excess_citations=0, tail_citations=0,
+                      core_citations=0)
 
 
 class TestI3Aggregate:
+    """The weighted-sum oracle on hand cases."""
+
     def test_author_publication_classes(self):
         assert i3_aggregate((5, 11, 9), (0.2, 0.44, 0.36)) == pytest.approx(9.08, abs=1e-12)
 
     def test_constant_values(self):
         assert i3_aggregate((7, 7, 7), (0.25, 0.5, 0.25)) == pytest.approx(7.0, abs=1e-12)
 
-    def test_empty(self):
-        assert i3_aggregate((), ()) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            i3_aggregate((1, 2), (0.5,))
-
 
 class TestIndicatorBundle:
     def test_journal_i3x(self):
-        part = partition_from_summary(
-            SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
-                          citations=1132, core_citations=574))
-        b = indicator_bundle(part)
+        s = score_entity(SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
+                                       citations=1132, core_citations=574))
         # oracle: direct class arithmetic (18^2 + 82^2 + 5^2) / 105
-        assert b.i3x == pytest.approx(7073 / 105, rel=1e-12)
-        assert b.sign == "positive"
+        assert s.I3X == pytest.approx(7073 / 105, rel=1e-12)
+        assert s.sign == "positive"
 
     def test_university_trace(self):
-        part = partition_from_summary(
-            SummaryRecord("Univ Heidelberg", papers=4715, h=21, uncited=3149,
-                          citations=5220, core_citations=996))
-        b = indicator_bundle(part)
-        assert matches_displayed(b.trace, "1374.03")
-        assert b.sign == "positive"
+        s = score_entity(SummaryRecord("Univ Heidelberg", papers=4715, h=21, uncited=3149,
+                                       citations=5220, core_citations=996))
+        assert matches_displayed(s.T, "1374.03")
+        assert s.sign == "positive"
 
     def test_uncited_set_nonpositive(self):
-        assert indicator_bundle(partition_from_list([0, 0])).sign == "nonpositive"
+        assert scores_of([0, 0]).sign == "nonpositive"
+
+
+class TestScores:
+    @given(citation_lists)
+    def test_sign_is_exact(self, counts):
+        part = partition_from_list(counts)
+        exact = (Fraction(part.core_papers ** 2, part.papers)
+                 - Fraction(part.uncited_papers ** 2, part.papers))
+        if part.citations:
+            exact += Fraction(part.tail_citations ** 2 + part.excess_citations ** 2,
+                              part.citations)
+        assert (score(part, "e").sign == "positive") == (exact > 0)
 
 
 class TestIdentities:
     @given(citation_lists)
     def test_z_is_y_minus_x(self, counts):
-        m = performance_matrix(partition_from_list(counts))
-        for z, y, x in ((m.z1, m.y1, m.x1), (m.z2, m.y2, m.x2), (m.z3, m.y3, m.x3)):
+        s = scores_of(counts)
+        for z, y, x in ((s.Z1, s.Y1, s.X1), (s.Z2, s.Y2, s.X2), (s.Z3, s.Y3, s.X3)):
             assert rel_close(z, y - x)
 
     @given(citation_lists)
     def test_trace_routes_agree(self, counts):
         part = partition_from_list(counts)
-        m = performance_matrix(part)
+        s = score(part, "e")
         via_counts = trace_from_counts(part.core_papers, part.tail_citations,
                                        part.excess_citations, part.uncited_papers,
                                        part.papers, part.citations)
-        assert rel_close(m.trace, m.x1 + m.y2 + m.z3)
-        assert rel_close(m.trace, via_counts)
-        assert rel_close(m.trace, float(np.trace(m.as_matrix())))
+        assert s.T == via_counts
+        assert rel_close(s.T, s.X1 + s.Y2 + s.Z3)
+        assert rel_close(s.T, float(np.trace(matrix(s))))
 
     @given(citation_lists)
     def test_i3_sums_and_factorization(self, counts):
         part = partition_from_list(counts)
-        m = performance_matrix(part)
-        b = indicator_bundle(part)
+        s = score(part, "e")
         w = class_weights(part)
-        assert rel_close(b.i3x, m.x1 + m.x2 + m.x3)
-        assert rel_close(b.i3y, m.y1 + m.y2 + m.y3)
+        assert rel_close(s.I3X, s.X1 + s.X2 + s.X3)
+        assert rel_close(s.I3Y, s.Y1 + s.Y2 + s.Y3)
         factored_x = i3_aggregate(
             (part.core_papers, part.tail_papers, part.uncited_papers),
             (w.pub_core, w.pub_tail, w.pub_uncited))
         factored_y = i3_aggregate(
             (part.core_base_citations, part.tail_citations, part.excess_citations),
             (w.cite_core, w.cite_tail, w.cite_excess))
-        assert rel_close(b.i3x, factored_x)
-        assert rel_close(b.i3y, factored_y)
+        assert rel_close(s.I3X, factored_x)
+        assert rel_close(s.I3Y, factored_y)
 
 
 counts_strategy = st.integers(min_value=0, max_value=1000)
 
 
 class TestMonotonicity:
+    """The trace formula over arbitrary class counts, one count moved at a time."""
+
     @given(pc=counts_strategy, ct=st.integers(0, 100000), ce=st.integers(0, 100000),
            pz=counts_strategy, p=st.integers(1, 1000), c=st.integers(1, 100000))
     def test_unit_increments(self, pc, ct, ce, pz, p, c):

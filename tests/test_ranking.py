@@ -1,6 +1,7 @@
 """Deterministic ranking: ordering, ties, filtering, key validation."""
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from citetrace import (
     rank_entities,
     score_entity,
 )
+from citetrace.cli import main
 from citetrace.reference import matches_displayed, reference_corpus
 
 
@@ -21,47 +23,45 @@ def lis_entities():
 
 class TestRankEntities:
     def test_lis_top_three_by_trace(self):
-        table = rank_entities(lis_entities(), key="T")
-        top = table.rows[:3]
+        top = rank_entities(lis_entities(), key="T")[:3]
         assert [row.name for row in top] == [
             "Scientometrics", "J Am Soc Inf Sci Tec", "J Am Med Inform Assn"]
         for row, displayed in zip(top, ("1466.6", "1193.1", "939.52")):
-            assert matches_displayed(row.values["T"], displayed)
+            assert matches_displayed(row.T, displayed)
 
     def test_single_entity(self):
         entity = score_entity(CitationList("A", (3, 2, 1)))
-        table = rank_entities([entity], key="h")
-        assert len(table.rows) == 1
-        assert table.rows[0].name == "A"
+        ranked = rank_entities([entity], key="h")
+        assert len(ranked) == 1
+        assert ranked[0].name == "A"
 
     def test_equal_trace_breaks_ties_lexicographically(self):
         counts = (5, 4, 3, 0)
         entities = [score_entity(CitationList(name, counts)) for name in ("zeta", "alpha", "mid")]
-        table = rank_entities(entities, key="T")
-        assert [row.name for row in table.rows] == ["alpha", "mid", "zeta"]
+        ranked = rank_entities(entities, key="T")
+        assert [row.name for row in ranked] == ["alpha", "mid", "zeta"]
 
     def test_unknown_indicator(self):
         with pytest.raises(UnknownIndicator):
             rank_entities(lis_entities(), key="nope")
 
     def test_filter_removes_but_never_reorders(self):
-        entities = lis_entities()
-        unfiltered = rank_entities(entities, key="T")
-        filtered = rank_entities(entities, key="T",
-                                 predicate=lambda name, m, b: b.trace > 0)
-        kept = {row.name for row in filtered.rows}
-        survivors = [row.name for row in unfiltered.rows if row.name in kept]
-        assert [row.name for row in filtered.rows] == survivors
+        def names(args):
+            result = CliRunner().invoke(main, ["rank", "--input", "corpus", "--output", "csv",
+                                               *args], catch_exceptions=False)
+            return [line.split(",")[1] for line in result.stdout.splitlines()[1:]]
+
+        unfiltered = names([])
+        filtered = names(["--positive-only"])
+        positive = {s.name for s in map(score_entity, reference_corpus().journals)
+                    if s.sign == "positive"}
+        assert len(filtered) < len(unfiltered)
+        assert filtered == [name for name in unfiltered if name in positive]
 
     def test_output_is_permutation_of_input(self):
         entities = lis_entities()
-        table = rank_entities(entities, key="I3Y")
-        assert sorted(row.name for row in table.rows) == sorted(name for name, _, _ in entities)
-
-    def test_ascending_order(self):
-        table = rank_entities(lis_entities(), key="h", descending=False)
-        values = [row.values["h"] for row in table.rows]
-        assert values == sorted(values)
+        ranked = rank_entities(entities, key="I3Y")
+        assert sorted(row.name for row in ranked) == sorted(s.name for s in entities)
 
     def test_empty_input_rejected(self):
         with pytest.raises(Exception):
@@ -72,16 +72,14 @@ class TestRankEntities:
     def test_sorted_by_key_descending(self, corpus):
         entities = [score_entity(CitationList(f"e{i:02d}", tuple(counts)))
                     for i, counts in enumerate(corpus)]
-        table = rank_entities(entities, key="T")
-        values = [row.values["T"] for row in table.rows]
+        values = [row.T for row in rank_entities(entities, key="T")]
         assert values == sorted(values, reverse=True)
 
     def test_row_carries_all_columns(self):
         rec = SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72,
                             core_citations=51)
-        table = rank_entities([score_entity(rec)], key="T")
-        row = table.rows[0]
-        assert set(row.values) == {"h", "X1", "X2", "X3", "Y1", "Y2", "Y3",
-                                   "Z1", "Z2", "Z3", "I3X", "I3Y", "T"}
-        assert row.values["h"] == 5
+        (row,) = rank_entities([score_entity(rec)], key="T")
+        assert row._fields == ("name", "h", "X1", "X2", "X3", "Y1", "Y2", "Y3",
+                               "Z1", "Z2", "Z3", "I3X", "I3Y", "T", "sign")
+        assert row.h == 5
         assert row.sign == "positive"
