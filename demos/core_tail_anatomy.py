@@ -11,8 +11,6 @@ from citetrace import (
     CitationList,
     SummaryRecord,
     h_index,
-    partition_from_list,
-    partition_from_summary,
     plausibility_warnings,
     summarize,
 )
@@ -23,40 +21,39 @@ group = CitationList("demo group", (21, 14, 9, 6, 5, 5, 3, 1, 0, 0, 0))
 h = h_index(group)
 print(f"{group.name}: {len(group.counts)} papers, h-index = {h}")
 
-# The partition splits papers into core / tail / uncited, and citations
-# into the h^2 baseline, the excess above it, and the tail mass.
-part = partition_from_list(group)
-print(f"  core papers      Pc = {part.core_papers}")
-print(f"  tail papers      Pt = {part.tail_papers}")
-print(f"  uncited papers   Pz = {part.uncited_papers}")
-print(f"  core baseline    Cc = {part.core_base_citations}  (= h^2)")
-print(f"  excess citations Ce = {part.excess_citations}")
-print(f"  tail citations   Ct = {part.tail_citations}")
-print(f"  core citations   Ch = {part.core_citations}  (= Cc + Ce)")
+# The summary record splits papers into core / tail / uncited, and
+# citations into the h^2 baseline, the excess above it, and the tail mass.
+record = summarize(group)
+print(f"  core papers      Pc = {record.h}")
+print(f"  tail papers      Pt = {record.tail_papers}")
+print(f"  uncited papers   Pz = {record.uncited}")
+print(f"  core baseline    Cc = {record.h ** 2}  (= h^2)")
+print(f"  excess citations Ce = {record.excess_citations}")
+print(f"  tail citations   Ct = {record.tail_citations}")
+print(f"  core citations   Ch = {record.core_citations}  (= Cc + Ce)")
 
 # The masses always recombine exactly.
-assert part.papers == part.core_papers + part.tail_papers + part.uncited_papers
-assert part.citations == (part.core_base_citations + part.excess_citations
-                          + part.tail_citations)
+assert record.papers == record.h + record.tail_papers + record.uncited
+assert record.citations == record.h ** 2 + record.excess_citations + record.tail_citations
 
 # Five numbers are enough: P, h, Pz, C, Ch determine everything else.
-record = summarize(group)
 print(f"\nsummary record: P={record.papers} h={record.h} Pz={record.uncited} "
       f"C={record.citations} Ch={record.core_citations}")
-assert partition_from_summary(record) == part
+rebuilt = SummaryRecord(group.name, record.papers, record.h, record.uncited,
+                        record.citations, record.core_citations)
+assert rebuilt == record and rebuilt.tail_citations == record.tail_citations
 print("rebuilding the partition from the five-number summary gives the same result")
 
 # Documents tied exactly at h citations may sit on either side of the
 # boundary; every derived quantity is invariant under that choice.
 tied = CitationList("boundary ties", (3, 3, 3, 3, 3))
-tied_part = partition_from_list(tied)
-print(f"\n{tied.name}: counts {tied.counts} -> h = {tied_part.h}, "
-      f"Ch = {tied_part.core_citations} (any {tied_part.h} of the tied papers)")
+tied_record = summarize(tied)
+print(f"\n{tied.name}: counts {tied.counts} -> h = {tied_record.h}, "
+      f"Ch = {tied_record.core_citations} (any {tied_record.h} of the tied papers)")
 
 # Summary exports can be internally consistent yet physically impossible;
 # the plausibility screen flags tail masses outside [Pt, h*Pt].
-odd = partition_from_summary(
-    SummaryRecord(name="suspicious tail", papers=64, h=3, uncited=57,
-                  citations=47, core_citations=12))
+odd = SummaryRecord(name="suspicious tail", papers=64, h=3, uncited=57,
+                    citations=47, core_citations=12)
 for message in plausibility_warnings(odd):
-    print(f"\nwarning for '{odd.core_papers}-core set with Pt={odd.tail_papers}':\n  {message}")
+    print(f"\nwarning for '{odd.h}-core set with Pt={odd.tail_papers}':\n  {message}")

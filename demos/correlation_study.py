@@ -13,13 +13,13 @@ from citetrace import (
     correlation_report,
     rank_entities,
     reference_corpus,
-    score_entity,
+    score,
     significance,
     stars,
 )
 
 corpus = reference_corpus()
-lis = [score_entity(rec) for rec in corpus.journals if rec.group == "LIS"]
+lis = [score(rec) for rec in corpus.journals if rec.group == "LIS"]
 table = rank_entities(lis, key="T")
 
 names = [row.name for row in table]

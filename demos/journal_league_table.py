@@ -8,11 +8,11 @@ Ranking is deterministic: descending by the chosen indicator, ties
 broken by name.
 """
 
-from citetrace import rank_entities, reference_corpus, score_entity
+from citetrace import rank_entities, reference_corpus, score
 
 corpus = reference_corpus()
-lis = [score_entity(rec) for rec in corpus.journals if rec.group == "LIS"]
-multi = [score_entity(rec) for rec in corpus.journals if rec.group == "multidisciplinary"]
+lis = [score(rec) for rec in corpus.journals if rec.group == "LIS"]
+multi = [score(rec) for rec in corpus.journals if rec.group == "multidisciplinary"]
 
 # Top of the field by academic trace.
 table = rank_entities(lis, key="T")

@@ -11,20 +11,20 @@ the whole 3x3 matrix into a single signed number.
 
 import numpy as np
 
-from citetrace import partition_from_summary, reference_corpus, score, score_entity
+from citetrace import reference_corpus, score
 
 corpus = reference_corpus()
 
 # Two information-science journals from the bundled corpus.  The first
 # has the stronger h-core, the second the far heavier cited tail.
 for name in ("J Informetr", "J Am Soc Inf Sci Tec"):
-    part = partition_from_summary(corpus.record(name))
-    s = score(part, name)
+    record = corpus.record(name)
+    s = score(record)
     matrix = np.array([[s.X1, s.X2, s.X3],
                        [s.Y1, s.Y2, s.Y3],
                        [s.Z1, s.Z2, s.Z3]])
 
-    print(f"{name}  (P={part.papers}, h={part.h}, C={part.citations})")
+    print(f"{name}  (P={record.papers}, h={record.h}, C={record.citations})")
     with np.printoptions(precision=2, suppress=True):
         print(matrix)
     print(f"  T = {s.X1:.2f} + {s.Y2:.2f} + {s.Z3:.2f} = {s.T:.2f}  [{s.sign}]")
@@ -32,22 +32,22 @@ for name in ("J Informetr", "J Am Soc Inf Sci Tec"):
     print(f"  tail citations carry {share:.1%} of the trace\n")
 
 # The trace needs only four class counts besides the two totals.
-part = partition_from_summary(corpus.record("Ye FY"))
-s = score(part, "Ye FY")
-direct = (part.core_papers ** 2 / part.papers + part.tail_citations ** 2 / part.citations
-          + part.excess_citations ** 2 / part.citations
-          - part.uncited_papers ** 2 / part.papers)
+record = corpus.record("Ye FY")
+s = score(record)
+direct = (record.h ** 2 / record.papers + record.tail_citations ** 2 / record.citations
+          + record.excess_citations ** 2 / record.citations
+          - record.uncited ** 2 / record.papers)
 print(f"Ye FY: trace from counts = {direct:.4f}, from the matrix = {s.T:.4f}")
 
 # Weights are each class's share of its own total, so I3X and I3Y are
 # the same numbers seen as weighted sums of the raw masses.
-weights = [n / part.papers for n in (part.core_papers, part.tail_papers, part.uncited_papers)]
+weights = [n / record.papers for n in (record.h, record.tail_papers, record.uncited)]
 print(f"publication weights: core={weights[0]:.2f} tail={weights[1]:.2f} "
       f"uncited={weights[2]:.2f}")
 print(f"I3X = {s.I3X:.4f}, I3Y = {s.I3Y:.4f}")
 
 # A set with many uncited papers and little excess can go negative:
 # the uncited penalty Pz^2/P dominates Z3.
-hamburg = score_entity(corpus.record("Univ Hamburg"))
+hamburg = score(corpus.record("Univ Hamburg"))
 print(f"\nUniv Hamburg: Z3 = {hamburg.Z3:.1f} (uncited penalty), "
       f"yet T = {hamburg.T:.1f} stays positive thanks to Y2 = {hamburg.Y2:.1f}")

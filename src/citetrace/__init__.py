@@ -1,9 +1,10 @@
 """citetrace: h-index core/tail analytics for publication/citation records.
 
-Decomposes a document set into h-core, h-tail and uncited classes,
-then scores the partition in one step: the academic vectors X, Y and
-Z (the rows of the 3x3 performance matrix), the academic trace T and
-the I3X/I3Y weighted indicators, as one ``Scores`` row.
+Summarizes a document set as five numbers (P, h, Pz, C, Ch), which
+fix its h-core, h-tail and uncited classes, then scores that record in
+one step: the academic vectors X, Y and Z (the rows of the 3x3
+performance matrix), the academic trace T and the I3X/I3Y weighted
+indicators, as one ``Scores`` row.
 Includes deterministic ranking, Pearson/Spearman correlation with
 significance levels, dataset parsing, and a bundled reference corpus
 with golden expected values.
@@ -39,14 +40,11 @@ from .errors import (
     UnknownIndicator,
     ValidationError,
 )
-from .indicators import INDICATOR_KEYS, Scores, score, score_entity
+from .indicators import INDICATOR_KEYS, Scores, score
 from .partition import (
     CitationList,
-    Partition,
     SummaryRecord,
     h_index,
-    partition_from_list,
-    partition_from_summary,
     plausibility_warnings,
     summarize,
 )
@@ -66,16 +64,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CitationList",
     "SummaryRecord",
-    "Partition",
     "h_index",
-    "partition_from_list",
-    "partition_from_summary",
     "summarize",
     "plausibility_warnings",
     "INDICATOR_KEYS",
     "Scores",
     "score",
-    "score_entity",
     "rank_entities",
     "pearson",
     "spearman",

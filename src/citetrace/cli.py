@@ -29,9 +29,9 @@ from .datasets import (
     parse_metric_csv,
     parse_summary_csv,
 )
-from .errors import CitetraceError, JoinError
+from .errors import CitetraceError, JoinError, ValidationError
 from .indicators import INDICATOR_KEYS, Scores, score
-from .partition import partition_from_list, partition_from_summary, plausibility_warnings, SummaryRecord
+from .partition import SummaryRecord, plausibility_warnings, summarize
 from .ranking import rank_entities
 from .reference import journals_dataset, units_dataset, validate_corpus
 
@@ -71,20 +71,24 @@ def _select_group(dataset: DatasetFile, group: str | None) -> tuple:
     if group is None:
         return dataset.records
     wanted = group.lower()
-    return tuple(r for r in dataset.records
-                 if getattr(r, "group", None) and r.group.lower() == wanted)
+    selected = tuple(r for r in dataset.records
+                     if getattr(r, "group", None) and r.group.lower() == wanted)
+    if not selected:
+        raise ValidationError(f"no records in group {group!r}")
+    return selected
 
 
 def _score_records(records, warn: bool = False) -> list[Scores]:
-    """Partition each record once and score it; with warn, also print its plausibility warnings."""
+    """Summarize each citation list and score every record; with warn, also
+    print each record's plausibility warnings."""
     scores = []
     for rec in records:
-        part = (partition_from_summary(rec) if isinstance(rec, SummaryRecord)
-                else partition_from_list(rec))
+        if not isinstance(rec, SummaryRecord):
+            rec = summarize(rec)
         if warn:
-            for warning in plausibility_warnings(part):
+            for warning in plausibility_warnings(rec):
                 click.echo(f"warning: {rec.name}: {warning}", err=True)
-        scores.append(score(part, rec.name))
+        scores.append(score(rec))
     return scores
 
 

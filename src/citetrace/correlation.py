@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DegenerateInput("values must be finite (no NaN or infinity)")
+
+
 def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
@@ -31,6 +36,8 @@ def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, 
         raise LengthMismatch(f"paired sequences must match: {ax.shape} vs {ay.shape}")
     if ax.size < 2:
         raise DegenerateInput(f"need at least 2 pairs, got {ax.size}")
+    _require_finite(ax)
+    _require_finite(ay)
     return ax, ay
 
 
@@ -50,15 +57,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def midranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with tied values sharing the average of their positions."""
     v = np.asarray(values, dtype=float)
+    _require_finite(v)
     order = np.argsort(v, kind="mergesort")
+    ordered = v[order]
+    # each run of tied values fills sorted positions start .. end-1 and
+    # shares the average of ranks start+1 .. end
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size]
     ranks = np.empty(v.size, dtype=float)
-    i = 0
-    while i < v.size:
-        j = i
-        while j < v.size and v[order[j]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     return ranks
 
 

@@ -184,6 +184,7 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
         name = item["name"]
         if not isinstance(name, str):
             raise ParseError(f"{where}: name must be a string")
+        name = name.strip()
         if name in seen:
             raise DuplicateEntity(f"{where}: duplicate entity {name!r}")
         try:
@@ -225,6 +226,9 @@ def parse_metric_csv(data: Union[bytes, str], source: str | None = None) -> Metr
     metrics = tuple(h.strip() for h in header[1:])
     if any(not m for m in metrics):
         raise ParseError("metric CSV has an unnamed metric column")
+    for i, metric in enumerate(metrics):
+        if metric in metrics[:i]:
+            raise ParseError(f"metric CSV has a duplicate metric column {metric!r}")
     rows: dict[str, tuple[float, ...]] = {}
     for row in reader:
         line = reader.line_num

@@ -1,4 +1,4 @@
-"""The scoring kernel: one partition in, one row of 13 indicators out.
+"""The scoring kernel: one summary record in, one row of 13 indicators out.
 
 Each publication class mass Pi maps to a normalized score Pi^2/P (its
 own share of the set times its size), and each citation class mass Ci
@@ -13,18 +13,12 @@ rounding, and the sign of T is decided in exact integer arithmetic.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import ValidationError
-from .partition import (
-    CitationList,
-    Partition,
-    SummaryRecord,
-    partition_from_list,
-    partition_from_summary,
-)
+from .partition import SummaryRecord
 
-__all__ = ["INDICATOR_KEYS", "Scores", "score", "score_entity"]
+__all__ = ["INDICATOR_KEYS", "Scores", "score"]
 
 
 class Scores(NamedTuple):
@@ -55,39 +49,32 @@ class Scores(NamedTuple):
 INDICATOR_KEYS = Scores._fields[1:-1]
 
 
-def score(part: Partition, name: str) -> Scores:
-    """All indicators of one partitioned entity."""
-    p = part.papers
-    c = part.citations
+def score(record: SummaryRecord) -> Scores:
+    """All indicators of one entity, named after its record."""
+    p = record.papers
+    c = record.citations
+    h = record.h
+    pz = record.uncited
+    ct = record.tail_citations
+    ce = record.excess_citations
     try:
-        x1 = part.core_papers ** 2 / p
-        x2 = part.tail_papers ** 2 / p
-        x3 = part.uncited_papers ** 2 / p
+        x1 = h ** 2 / p
+        x2 = record.tail_papers ** 2 / p
+        x3 = pz ** 2 / p
         if c > 0:
-            y1 = part.core_base_citations ** 2 / c
-            y2 = part.tail_citations ** 2 / c
-            y3 = part.excess_citations ** 2 / c
+            y1 = (h * h) ** 2 / c
+            y2 = ct ** 2 / c
+            y3 = ce ** 2 / c
         else:
             # Uncited set: Ci^2/C -> 0 as all Ci -> 0.
             y1 = y2 = y3 = 0.0
     except OverflowError:
-        raise ValidationError(f"{name}: class scores exceed the float range") from None
+        raise ValidationError(f"{record.name}: class scores exceed the float range") from None
     z1 = y1 - x1
     z2 = y2 - x2
     z3 = y3 - x3
     # T * P * C, exactly; with C = 0 every citation term is 0 and T = -Pz^2/P <= 0.
-    exact = ((part.core_papers ** 2 * c
-              + (part.tail_citations ** 2 + part.excess_citations ** 2) * p)
-             - part.uncited_papers ** 2 * c)
-    return Scores(name, part.h, x1, x2, x3, y1, y2, y3, z1, z2, z3,
+    exact = (h ** 2 * c + (ct ** 2 + ce ** 2) * p) - pz ** 2 * c
+    return Scores(record.name, h, x1, x2, x3, y1, y2, y3, z1, z2, z3,
                   x1 + x2 + x3, y1 + y2 + y3, x1 + y2 + z3,
                   "positive" if exact > 0 else "nonpositive")
-
-
-def score_entity(record: Union[SummaryRecord, CitationList]) -> Scores:
-    """Partition either record type, then score it."""
-    if isinstance(record, SummaryRecord):
-        part = partition_from_summary(record)
-    else:
-        part = partition_from_list(record)
-    return score(part, record.name)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .datasets import DatasetFile
-from .indicators import score_entity
+from .indicators import score
 from .partition import SummaryRecord
 
 __all__ = [
@@ -351,7 +351,7 @@ class ReferenceReport:
 
 
 def _computed_values(corpus: ReferenceCorpus, name: str) -> dict:
-    return score_entity(corpus.record(name))._asdict()
+    return score(corpus.record(name))._asdict()
 
 
 def validate_corpus(corpus: ReferenceCorpus | None = None) -> ReferenceReport:

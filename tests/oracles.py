@@ -1,11 +1,13 @@
-"""Test-side oracles: the class-share weights, the weighted I3 sum and the
-trace written directly from class counts.
+"""Test-side oracles: the class-share weights, the weighted I3 sum, the
+trace written directly from class counts, and midranks as a plain loop.
 
-They restate identities of the scoring kernel in another form, so the
-tests can check the kernel against them rather than against itself.
+They restate the library's results in another form, so the tests can
+check the library against them rather than against itself.
 """
 
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 class Weights(NamedTuple):
@@ -19,15 +21,15 @@ class Weights(NamedTuple):
     cite_excess: float
 
 
-def class_weights(part) -> Weights:
-    p = part.papers
-    c = part.citations
+def class_weights(record) -> Weights:
+    """The six shares of a ``SummaryRecord``."""
+    p = record.papers
+    c = record.citations
     if c > 0:
-        cites = (part.core_base_citations / c, part.tail_citations / c,
-                 part.excess_citations / c)
+        cites = (record.h ** 2 / c, record.tail_citations / c, record.excess_citations / c)
     else:
         cites = (0.0, 0.0, 0.0)
-    return Weights(part.core_papers / p, part.tail_papers / p, part.uncited_papers / p, *cites)
+    return Weights(record.h / p, record.tail_papers / p, record.uncited / p, *cites)
 
 
 def i3_aggregate(values: Sequence[float], weights: Sequence[float]) -> float:
@@ -40,7 +42,7 @@ def trace_from_counts(core_papers: int, tail_citations: int, excess_citations: i
     """Pc^2/P + Ct^2/C + (Ce^2/C - Pz^2/P); no citation terms when C = 0.
 
     Any counts with P >= 1 are accepted, including ones that no
-    partition has, so monotonicity can be probed one count at a time.
+    summary record has, so monotonicity can be probed one count at a time.
     """
     core = core_papers ** 2 / papers
     penalty = uncited_papers ** 2 / papers
@@ -50,3 +52,18 @@ def trace_from_counts(core_papers: int, tail_citations: int, excess_citations: i
     else:
         tail = excess = 0.0
     return core + tail + (excess - penalty)
+
+
+def midranks_loop(values: Sequence[float]) -> np.ndarray:
+    """Midranks by walking each run of tied values in sorted order."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="mergesort")
+    ranks = np.empty(v.size, dtype=float)
+    i = 0
+    while i < v.size:
+        j = i
+        while j < v.size and v[order[j]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
+        i = j
+    return ranks

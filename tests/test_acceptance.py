@@ -15,12 +15,9 @@ import pytest
 from citetrace import (
     CitationList,
     h_index,
-    partition_from_list,
-    partition_from_summary,
     pearson,
     rank_entities,
     score,
-    score_entity,
     significance,
     spearman,
     summarize,
@@ -61,7 +58,7 @@ def _golden_cells(rows):
     total = 0
     corpus = reference_corpus()
     for row in rows:
-        computed = score_entity(corpus.record(row.name))._asdict()
+        computed = score(corpus.record(row.name))._asdict()
         for cell, displayed in row.displayed.items():
             total += 1
             if not matches_displayed(computed[cell], displayed):
@@ -82,7 +79,7 @@ def test_criterion_2_worked_examples():
     checked = 0
     failures = []
     for example in corpus.worked_examples:
-        computed = score_entity(corpus.record(example.name))._asdict()
+        computed = score(corpus.record(example.name))._asdict()
         for cell, displayed in example.matrix.items():
             checked += 1
             if not matches_displayed(computed[cell], displayed):
@@ -92,7 +89,7 @@ def test_criterion_2_worked_examples():
             if not matches_displayed(computed["T"], displayed):
                 failures.append((example.name, f"T={displayed}"))
     # the author trace must hold at four decimals, not merely at the 2dp display
-    ye = score_entity(corpus.record("Ye FY"))
+    ye = score(corpus.record("Ye FY"))
     checked += 1
     if not matches_displayed(ye.T, "13.2739"):
         failures.append(("Ye FY", "T=13.2739"))
@@ -106,19 +103,19 @@ def test_criterion_3_golden_universities():
     z3 = {row.name: row.displayed["Z3"] for row in corpus.golden_universities}
     assert z3 == {"Univ Heidelberg": "-2044", "Univ Hamburg": "-566.5"}
     for name in z3:
-        assert score_entity(corpus.record(name)).Z3 < 0
+        assert score(corpus.record(name)).Z3 < 0
     _report(3, f"university rows incl. negative Z3, {total} cells", not failures)
 
 
 def test_criterion_4_ordering():
     corpus = reference_corpus()
-    lis = [score_entity(rec) for rec in corpus.journals if rec.group == "LIS"]
+    lis = [score(rec) for rec in corpus.journals if rec.group == "LIS"]
     ranked = rank_entities(lis, key="T")
     expected = [row.name for row in sorted(
         (r for r in corpus.golden_journals if r.group == "LIS"), key=lambda r: r.rank)]
     top20_ok = [row.name for row in ranked[:20]] == expected
 
-    multi = [score_entity(rec) for rec in corpus.journals if rec.group == "multidisciplinary"]
+    multi = [score(rec) for rec in corpus.journals if rec.group == "multidisciplinary"]
     multi_ranked = rank_entities(multi, key="T")
     multi_ok = [row.name for row in multi_ranked] == ["PNAS", "Nature", "Science"]
     _report(4, "LIS top-20 order and PNAS > Nature > Science by trace",
@@ -129,46 +126,48 @@ def test_criterion_5_oracle_equivalence():
     checked = 0
     for counts in _random_corpus():
         cl = CitationList("entity", counts)
-        part = partition_from_list(cl)
-        assert part.h == _h_oracle(counts)
-        assert h_index(cl) == part.h
-        assert partition_from_summary(summarize(cl)) == part
+        rec = summarize(cl)
+        h = _h_oracle(counts)
+        ranked = sorted(counts, reverse=True)
+        assert rec.h == h
+        assert h_index(cl) == h
+        assert (rec.papers, rec.uncited, rec.citations, rec.core_citations) == (
+            len(counts), counts.count(0), sum(counts), sum(ranked[:h]))
         checked += 1
     assert checked == RANDOM_LISTS
-    _report(5, f"h-index brute-force oracle and summary round-trip on {checked} random lists",
+    _report(5, f"h-index brute-force oracle and summary recount on {checked} random lists",
             True)
 
 
 def test_criterion_6_identity_suite():
     checked = 0
     for counts in _random_corpus():
-        part = partition_from_list(counts)
-        s = score(part, "entity")
-        w = class_weights(part)
+        rec = summarize(counts)
+        s = score(rec)
+        w = class_weights(rec)
 
-        assert part.papers == part.core_papers + part.tail_papers + part.uncited_papers
-        assert part.citations == (part.core_base_citations + part.tail_citations
-                                  + part.excess_citations)
-        assert part.core_base_citations == part.core_papers ** 2
+        assert rec.papers == rec.h + rec.tail_papers + rec.uncited
+        assert rec.citations == rec.h ** 2 + rec.tail_citations + rec.excess_citations
+        assert min(rec.tail_papers, rec.tail_citations, rec.excess_citations) >= 0
 
         for z, y, x in ((s.Z1, s.Y1, s.X1), (s.Z2, s.Y2, s.X2), (s.Z3, s.Y3, s.X3)):
             assert _rel_close(z, y - x)
         assert _rel_close(s.T, s.X1 + s.Y2 + s.Z3)
         via_counts = trace_from_counts(
-            part.core_papers, part.tail_citations, part.excess_citations,
-            part.uncited_papers, part.papers, part.citations)
+            rec.h, rec.tail_citations, rec.excess_citations,
+            rec.uncited, rec.papers, rec.citations)
         assert _rel_close(s.T, via_counts)
         assert s.T == via_counts  # bit for bit
         assert _rel_close(s.I3X, s.X1 + s.X2 + s.X3)
         assert _rel_close(s.I3Y, s.Y1 + s.Y2 + s.Y3)
         assert _rel_close(s.I3X, i3_aggregate(
-            (part.core_papers, part.tail_papers, part.uncited_papers),
+            (rec.h, rec.tail_papers, rec.uncited),
             (w.pub_core, w.pub_tail, w.pub_uncited)))
         assert _rel_close(w.pub_core + w.pub_tail + w.pub_uncited, 1.0)
-        if part.citations > 0:
+        if rec.citations > 0:
             assert _rel_close(w.cite_core + w.cite_tail + w.cite_excess, 1.0)
         checked += 1
-    _report(6, f"exact and 1e-12 identities on {checked} random partitions", True)
+    _report(6, f"exact and 1e-12 identities on {checked} random summaries", True)
 
 
 def test_criterion_7_monotonicity_and_sign():

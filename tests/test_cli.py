@@ -333,6 +333,32 @@ class TestBadInputEndsInOneLineError:
         assert needle in proc.stderr
 
 
+class TestEmptyGroup:
+    @pytest.mark.parametrize("command", [
+        ["compute"], ["rank"], ["correlate"], ["plot-data", "--metric-file", "METRICS"],
+    ], ids=["compute", "rank", "correlate", "plot-data"])
+    def test_same_one_line_error_on_every_command(self, runner, tmp_path, command):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("name,IF\nNature,1.0\n")
+        args = [str(metrics) if a == "METRICS" else a for a in command]
+        result = runner.invoke(main, [*args, "--input", "corpus", "--group", "nosuch"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: no records in group 'nosuch'\n"
+
+
+class TestJsonNames:
+    def test_stripped_json_name_joins_metric_row(self, runner, tmp_path):
+        data = tmp_path / "spaced.json"
+        data.write_text(json.dumps([{"name": " A ", "citations": [3, 2, 1]},
+                                    {"name": "B", "citations": [5, 0, 0]}]))
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("name,IF\nA,1.0\nB,2.0\n")
+        result = invoke(runner, ["plot-data", "--input", str(data), "--metric-file", str(metrics)])
+        assert result.stderr == ""
+        assert [line.split(",")[0] for line in result.stdout.splitlines()] == ["name", "A", "B"]
+
+
 class TestTableOutput:
     def test_precision_flag_controls_table_digits(self, runner, tmp_path):
         path = tmp_path / "joi.csv"

@@ -1,6 +1,8 @@
 """Correlation coefficients, midranks, significance, and the pair report."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from citetrace import (
     spearman,
     stars,
 )
+from oracles import midranks_loop
 
 # Frozen before implementation: two-tailed p for r=0.5, n=30 from mpmath
 # quadrature of the t density with 28 degrees of freedom (dps=40).
@@ -85,6 +88,38 @@ class TestPearson:
         assert pearson(transformed, y) == pytest.approx(pearson(x, y), abs=1e-9)
 
 
+class TestNonFiniteInput:
+    # NaN once made midranks loop forever, so every call that reaches it
+    # with NaN runs in a child process, where a hang fails the test.
+    NAN_CALLS = ["ct.midranks([1.0, nan, 2.0])",
+                 "ct.spearman([1.0, nan, 2.0], [1, 2, 3])",
+                 "ct.spearman([1, 2, 3], [1.0, nan, 2.0])",
+                 "ct.correlation_report([('a', [1.0, 2.0, 3.0]), ('b', [1.0, nan, 2.0])])"]
+
+    @pytest.mark.parametrize("call", NAN_CALLS, ids=["midranks", "spearman-x", "spearman-y",
+                                                     "report"])
+    def test_nan_rejected_without_hanging(self, call):
+        code = ("import citetrace as ct\nnan = float('nan')\n"
+                f"try:\n    {call}\nexcept ct.DegenerateInput:\n    print('rejected')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout == "rejected\n", proc.stderr
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pearson_rejects_on_either_side(self, bad):
+        with pytest.raises(DegenerateInput, match="finite"):
+            pearson([1, bad, 2], [1, 2, 3])
+        with pytest.raises(DegenerateInput, match="finite"):
+            pearson([1, 2, 3], [1, bad, 2])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinity_rejected(self, bad):
+        with pytest.raises(DegenerateInput, match="finite"):
+            midranks([1.0, bad, 2.0])
+        with pytest.raises(DegenerateInput, match="finite"):
+            spearman([1, bad, 2], [1, 2, 3])
+
+
 class TestMidranks:
     def test_no_ties(self):
         assert list(midranks([1, 2, 5, 4, 3])) == [1, 2, 5, 4, 3]
@@ -96,6 +131,18 @@ class TestMidranks:
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=50))
     def test_agrees_with_scipy_rankdata(self, values):
         assert np.allclose(midranks(values), scipy.stats.rankdata(values))
+
+    @given(st.lists(st.integers(0, 20), max_size=50))
+    def test_bit_identical_to_loop(self, values):
+        assert midranks(values).tobytes() == midranks_loop(values).tobytes()
+
+    def test_bit_identical_on_large_columns(self):
+        rng = np.random.default_rng(7)
+        for values in (rng.integers(0, 5, size=1500).astype(float),  # tie-heavy
+                       rng.normal(size=1500)):
+            ranks = midranks(values).tobytes()
+            assert ranks == midranks_loop(values).tobytes()
+            assert ranks == scipy.stats.rankdata(values).tobytes()
 
 
 class TestSpearman:

@@ -141,6 +141,19 @@ class TestParseJson:
         with pytest.raises(DuplicateEntity):
             parse_json(payload)
 
+    def test_names_are_stripped_like_csv(self):
+        payload = json.dumps([{"name": " A ", "citations": [3, 2, 1]}])
+        csv_names = [r.name for r in parse_citations_csv("name,citations\n A ,3;2;1\n").records]
+        assert [r.name for r in parse_json(payload).records] == csv_names == ["A"]
+
+    def test_duplicate_after_stripping(self):
+        payload = json.dumps([
+            {"name": "A", "citations": [1]},
+            {"name": "A ", "citations": [2]},
+        ])
+        with pytest.raises(DuplicateEntity, match="item 1"):
+            parse_json(payload)
+
     def test_validation_error_carries_item_index(self):
         payload = json.dumps([{"name": "X", "P": 10, "h": 4, "Pz": 0, "C": 20, "Ch": 15}])
         with pytest.raises(ValidationError, match="item 0"):
@@ -183,3 +196,7 @@ class TestParseMetricCsv:
     def test_duplicate_entity(self):
         with pytest.raises(DuplicateEntity):
             parse_metric_csv("name,IF\nA,1\nA,2\n")
+
+    def test_duplicate_metric_column(self):
+        with pytest.raises(ParseError, match="duplicate metric column 'IF'"):
+            parse_metric_csv("name,IF, IF\nA,1,2\n")

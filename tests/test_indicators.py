@@ -9,13 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citetrace import (
-    Partition,
     SummaryRecord,
     ValidationError,
-    partition_from_list,
-    partition_from_summary,
     score,
-    score_entity,
+    summarize,
 )
 from citetrace.reference import matches_displayed
 from oracles import class_weights, i3_aggregate, trace_from_counts
@@ -27,13 +24,12 @@ def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def ye_partition():
-    return partition_from_summary(
-        SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72, core_citations=51))
+def ye_record():
+    return SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72, core_citations=51)
 
 
 def scores_of(counts):
-    return score(partition_from_list(counts), "e")
+    return score(summarize(counts))
 
 
 def matrix(s):
@@ -44,29 +40,29 @@ class TestClassWeights:
     """The share-weight oracle used by the I3 factorization checks."""
 
     def test_author_publication_weights(self):
-        w = class_weights(ye_partition())
+        w = class_weights(ye_record())
         assert w.pub_core == pytest.approx(0.2, abs=1e-15)
         assert w.pub_tail == pytest.approx(0.44, abs=1e-15)
         assert w.pub_uncited == pytest.approx(0.36, abs=1e-15)
 
     def test_uncited_set_convention(self):
-        w = class_weights(partition_from_list([0, 0, 0, 0]))
+        w = class_weights(summarize([0, 0, 0, 0]))
         assert (w.pub_core, w.pub_tail, w.pub_uncited) == (0.0, 0.0, 1.0)
         assert (w.cite_core, w.cite_tail, w.cite_excess) == (0.0, 0.0, 0.0)
 
     def test_single_cited_paper(self):
-        w = class_weights(partition_from_list([1]))
+        w = class_weights(summarize([1]))
         assert (w.pub_core, w.pub_tail, w.pub_uncited) == (1.0, 0.0, 0.0)
         assert (w.cite_core, w.cite_tail, w.cite_excess) == (1.0, 0.0, 0.0)
 
     @given(citation_lists)
     def test_triples_sum_to_one(self, counts):
-        part = partition_from_list(counts)
-        w = class_weights(part)
+        rec = summarize(counts)
+        w = class_weights(rec)
         assert 0.0 <= min(w) and max(w) <= 1.0
         assert rel_close(w.pub_core + w.pub_tail + w.pub_uncited, 1.0)
         cite_sum = w.cite_core + w.cite_tail + w.cite_excess
-        if part.citations > 0:
+        if rec.citations > 0:
             assert rel_close(cite_sum, 1.0)
         else:
             assert cite_sum == 0.0
@@ -74,7 +70,7 @@ class TestClassWeights:
 
 class TestAcademicVectors:
     def test_journal_vectors_at_displayed_precision(self):
-        s = score_entity(SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
+        s = score(SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
                                        citations=1132, core_citations=574))
         x, y, z = matrix(s)
         for value, displayed in zip(x, ("3.09", "64.04", "0.24")):
@@ -85,7 +81,7 @@ class TestAcademicVectors:
             assert matches_displayed(value, displayed)
 
     def test_author_vectors_at_displayed_precision(self):
-        x, y, _ = matrix(score(ye_partition(), "Ye FY"))
+        x, y, _ = matrix(score(ye_record()))
         for value, displayed in zip(x, ("1", "4.84", "3.24")):
             assert matches_displayed(value, displayed)
         for value, displayed in zip(y, ("8.6806", "6.125", "9.3889")):
@@ -100,7 +96,7 @@ class TestAcademicVectors:
 
 class TestPerformanceMatrix:
     def test_jasist_trace(self):
-        s = score_entity(SummaryRecord("J Am Soc Inf Sci Tec", papers=487, h=20, uncited=138,
+        s = score(SummaryRecord("J Am Soc Inf Sci Tec", papers=487, h=20, uncited=138,
                                        citations=2404, core_citations=712))
         assert matches_displayed(s.X1, "0.82")
         assert matches_displayed(s.Y2, "1190.9")
@@ -108,7 +104,7 @@ class TestPerformanceMatrix:
         assert matches_displayed(s.T, "1193.1")
 
     def test_author_trace(self):
-        s = score_entity(SummaryRecord("Leydesdorff L", papers=141, h=27, uncited=23,
+        s = score(SummaryRecord("Leydesdorff L", papers=141, h=27, uncited=23,
                                        citations=2183, core_citations=1331))
         assert matches_displayed(s.X1, "5.17")
         assert matches_displayed(s.Y2, "332.53")
@@ -128,7 +124,7 @@ class TestTraceFromCounts:
     """The kernel's trace against the class-count formula, on hand cases."""
 
     def test_author_arguments(self):
-        value = score(ye_partition(), "Ye FY").T
+        value = score(ye_record()).T
         assert value == trace_from_counts(5, 21, 26, 9, 25, 72)
         assert matches_displayed(value, "13.2739")
         assert value == pytest.approx(25 / 25 + 441 / 72 + 676 / 72 - 81 / 25, abs=1e-12)
@@ -140,10 +136,8 @@ class TestTraceFromCounts:
         assert scores_of([1]).T == 1.0
 
     def test_rejects_zero_papers(self):
-        with pytest.raises(ValidationError):
-            Partition(papers=0, citations=0, core_papers=0, tail_papers=0, uncited_papers=0,
-                      core_base_citations=0, excess_citations=0, tail_citations=0,
-                      core_citations=0)
+        with pytest.raises(ValidationError, match="P must be >= 1"):
+            SummaryRecord("X", papers=0, h=0, uncited=0, citations=0, core_citations=0)
 
 
 class TestI3Aggregate:
@@ -158,14 +152,14 @@ class TestI3Aggregate:
 
 class TestIndicatorBundle:
     def test_journal_i3x(self):
-        s = score_entity(SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
+        s = score(SummaryRecord("J Informetr", papers=105, h=18, uncited=5,
                                        citations=1132, core_citations=574))
         # oracle: direct class arithmetic (18^2 + 82^2 + 5^2) / 105
         assert s.I3X == pytest.approx(7073 / 105, rel=1e-12)
         assert s.sign == "positive"
 
     def test_university_trace(self):
-        s = score_entity(SummaryRecord("Univ Heidelberg", papers=4715, h=21, uncited=3149,
+        s = score(SummaryRecord("Univ Heidelberg", papers=4715, h=21, uncited=3149,
                                        citations=5220, core_citations=996))
         assert matches_displayed(s.T, "1374.03")
         assert s.sign == "positive"
@@ -177,13 +171,12 @@ class TestIndicatorBundle:
 class TestScores:
     @given(citation_lists)
     def test_sign_is_exact(self, counts):
-        part = partition_from_list(counts)
-        exact = (Fraction(part.core_papers ** 2, part.papers)
-                 - Fraction(part.uncited_papers ** 2, part.papers))
-        if part.citations:
-            exact += Fraction(part.tail_citations ** 2 + part.excess_citations ** 2,
-                              part.citations)
-        assert (score(part, "e").sign == "positive") == (exact > 0)
+        rec = summarize(counts)
+        exact = Fraction(rec.h ** 2, rec.papers) - Fraction(rec.uncited ** 2, rec.papers)
+        if rec.citations:
+            exact += Fraction(rec.tail_citations ** 2 + rec.excess_citations ** 2,
+                              rec.citations)
+        assert (score(rec).sign == "positive") == (exact > 0)
 
 
 class TestIdentities:
@@ -195,27 +188,26 @@ class TestIdentities:
 
     @given(citation_lists)
     def test_trace_routes_agree(self, counts):
-        part = partition_from_list(counts)
-        s = score(part, "e")
-        via_counts = trace_from_counts(part.core_papers, part.tail_citations,
-                                       part.excess_citations, part.uncited_papers,
-                                       part.papers, part.citations)
+        rec = summarize(counts)
+        s = score(rec)
+        via_counts = trace_from_counts(rec.h, rec.tail_citations, rec.excess_citations,
+                                       rec.uncited, rec.papers, rec.citations)
         assert s.T == via_counts
         assert rel_close(s.T, s.X1 + s.Y2 + s.Z3)
         assert rel_close(s.T, float(np.trace(matrix(s))))
 
     @given(citation_lists)
     def test_i3_sums_and_factorization(self, counts):
-        part = partition_from_list(counts)
-        s = score(part, "e")
-        w = class_weights(part)
+        rec = summarize(counts)
+        s = score(rec)
+        w = class_weights(rec)
         assert rel_close(s.I3X, s.X1 + s.X2 + s.X3)
         assert rel_close(s.I3Y, s.Y1 + s.Y2 + s.Y3)
         factored_x = i3_aggregate(
-            (part.core_papers, part.tail_papers, part.uncited_papers),
+            (rec.h, rec.tail_papers, rec.uncited),
             (w.pub_core, w.pub_tail, w.pub_uncited))
         factored_y = i3_aggregate(
-            (part.core_base_citations, part.tail_citations, part.excess_citations),
+            (rec.h ** 2, rec.tail_citations, rec.excess_citations),
             (w.cite_core, w.cite_tail, w.cite_excess))
         assert rel_close(s.I3X, factored_x)
         assert rel_close(s.I3Y, factored_y)

@@ -1,4 +1,4 @@
-"""Core decomposition: h-index, partitions, summary validation, plausibility."""
+"""Core decomposition: h-index, summary records and their derived masses, validation, plausibility."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +9,9 @@ from citetrace import (
     SummaryRecord,
     ValidationError,
     h_index,
-    partition_from_list,
-    partition_from_summary,
     plausibility_warnings,
     summarize,
 )
-from citetrace.partition import Partition
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200)
 
@@ -26,15 +23,18 @@ def h_oracle(counts):
 
 
 def recount(counts):
-    """Exhaustive recount of every class mass, independent of the partition code."""
+    """Exhaustive recount of every class mass, independent of the summary code."""
     ranked = sorted(counts, reverse=True)
     h = h_oracle(counts)
     return {
         "papers": len(counts),
         "citations": sum(counts),
         "core_papers": h,
+        "tail_papers": sum(1 for c in ranked[h:] if c > 0),
         "uncited_papers": sum(1 for c in counts if c == 0),
         "core_citations": sum(ranked[:h]),
+        "excess_citations": sum(c - h for c in ranked[:h]),
+        "tail_citations": sum(ranked[h:]),
     }
 
 
@@ -63,81 +63,74 @@ class TestHIndex:
 
 
 class TestPartitionFromList:
+    """``summarize``, the one route from a citation list to a record."""
+
     def test_mixed_counts(self):
-        part = partition_from_list(CitationList("A", (10, 8, 5, 4, 3)))
-        assert part.core_papers == 4
-        assert part.tail_papers == 1
-        assert part.uncited_papers == 0
-        assert part.core_base_citations == 16
-        assert part.core_citations == 27
-        assert part.excess_citations == 11
-        assert part.tail_citations == 3
-        assert part.citations == 30
+        rec = summarize(CitationList("A", (10, 8, 5, 4, 3)))
+        assert rec.name == "A"
+        assert rec.h == 4
+        assert rec.tail_papers == 1
+        assert rec.uncited == 0
+        assert rec.core_citations == 27
+        assert rec.excess_citations == 11
+        assert rec.tail_citations == 3
+        assert rec.citations == 30
 
     def test_all_uncited(self):
-        part = partition_from_list([0, 0, 0, 0])
-        assert part.core_papers == 0
-        assert part.tail_papers == 0
-        assert part.uncited_papers == 4
-        assert part.citations == 0
-        assert part.core_citations == 0
-        assert part.excess_citations == 0
-        assert part.tail_citations == 0
+        rec = summarize([0, 0, 0, 0])
+        assert rec.h == 0
+        assert rec.tail_papers == 0
+        assert rec.uncited == 4
+        assert rec.citations == 0
+        assert rec.core_citations == 0
+        assert rec.excess_citations == 0
+        assert rec.tail_citations == 0
 
     def test_boundary_tie(self):
-        part = partition_from_list([1, 1])
-        assert part.core_papers == 1
-        assert part.tail_papers == 1
-        assert part.uncited_papers == 0
-        assert part.core_base_citations == 1
-        assert part.excess_citations == 0
-        assert part.tail_citations == 1
+        rec = summarize([1, 1])
+        assert rec.h == 1
+        assert rec.tail_papers == 1
+        assert rec.uncited == 0
+        assert rec.excess_citations == 0
+        assert rec.tail_citations == 1
 
     @given(citation_lists)
     def test_matches_exhaustive_recount(self, counts):
-        part = partition_from_list(counts)
+        rec = summarize(counts)
         expect = recount(counts)
-        assert part.papers == expect["papers"]
-        assert part.citations == expect["citations"]
-        assert part.core_papers == expect["core_papers"]
-        assert part.uncited_papers == expect["uncited_papers"]
-        assert part.core_citations == expect["core_citations"]
+        assert rec.papers == expect["papers"]
+        assert rec.citations == expect["citations"]
+        assert rec.h == expect["core_papers"]
+        assert rec.uncited == expect["uncited_papers"]
+        assert rec.core_citations == expect["core_citations"]
+        assert rec.tail_papers == expect["tail_papers"]
+        assert rec.excess_citations == expect["excess_citations"]
+        assert rec.tail_citations == expect["tail_citations"]
 
     @given(citation_lists)
     def test_integer_identities_exact(self, counts):
-        part = partition_from_list(counts)
-        assert part.papers == part.core_papers + part.tail_papers + part.uncited_papers
-        assert part.citations == (part.core_base_citations + part.tail_citations
-                                  + part.excess_citations)
-        assert part.core_base_citations == part.core_papers ** 2
-        assert part.core_citations == part.core_base_citations + part.excess_citations
-
-    @given(citation_lists)
-    def test_summary_round_trip(self, counts):
-        cl = CitationList("A", tuple(counts))
-        direct = partition_from_list(cl)
-        assert partition_from_summary(summarize(cl)) == direct
+        rec = summarize(counts)
+        assert rec.papers == rec.h + rec.tail_papers + rec.uncited
+        assert rec.citations == rec.h ** 2 + rec.tail_citations + rec.excess_citations
+        assert rec.core_citations == rec.h ** 2 + rec.excess_citations
 
 
 class TestPartitionFromSummary:
+    """The class masses a summary record derives from its five numbers."""
+
     def test_author_record(self):
         rec = SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72,
                             core_citations=51)
-        part = partition_from_summary(rec)
-        assert part.core_papers == 5
-        assert part.tail_papers == 11
-        assert part.core_base_citations == 25
-        assert part.excess_citations == 26
-        assert part.tail_citations == 21
+        assert rec.tail_papers == 11
+        assert rec.excess_citations == 26
+        assert rec.tail_citations == 21
 
     def test_university_record(self):
         rec = SummaryRecord("Univ Hamburg", papers=1949, h=19, uncited=1257,
                             citations=3185, core_citations=1243)
-        part = partition_from_summary(rec)
-        assert part.tail_papers == 673
-        assert part.core_base_citations == 361
-        assert part.excess_citations == 882
-        assert part.tail_citations == 1942
+        assert rec.tail_papers == 673
+        assert rec.excess_citations == 882
+        assert rec.tail_citations == 1942
 
     def test_core_citations_below_h_squared_rejected(self):
         with pytest.raises(ValidationError, match=r"Ch < h\^2"):
@@ -189,27 +182,22 @@ class TestPlausibilityWarnings:
     def test_author_partition_clean(self):
         rec = SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72,
                             core_citations=51)
-        assert plausibility_warnings(partition_from_summary(rec)) == []
+        assert plausibility_warnings(rec) == []
 
     def test_low_h_journal_clean(self):
         rec = SummaryRecord("Libr J", papers=8595, h=3, uncited=8561, citations=47,
                             core_citations=15)
-        part = partition_from_summary(rec)
-        assert (part.core_papers, part.tail_papers, part.tail_citations) == (3, 31, 32)
-        assert plausibility_warnings(part) == []
+        assert (rec.h, rec.tail_papers, rec.tail_citations) == (3, 31, 32)
+        assert plausibility_warnings(rec) == []
 
     def test_tail_citations_below_tail_papers(self):
-        part = Partition(papers=7, citations=7, core_papers=2, tail_papers=5,
-                         uncited_papers=0, core_base_citations=4, excess_citations=0,
-                         tail_citations=3, core_citations=4)
-        warnings = plausibility_warnings(part)
+        rec = SummaryRecord("X", papers=7, h=2, uncited=0, citations=7, core_citations=4)
+        warnings = plausibility_warnings(rec)
         assert len(warnings) == 1
         assert "Ct=3" in warnings[0] and "Pt=5" in warnings[0]
 
     def test_tail_citations_above_ceiling(self):
-        part = Partition(papers=4, citations=29, core_papers=2, tail_papers=2,
-                         uncited_papers=0, core_base_citations=4, excess_citations=0,
-                         tail_citations=25, core_citations=4)
-        warnings = plausibility_warnings(part)
+        rec = SummaryRecord("X", papers=4, h=2, uncited=0, citations=29, core_citations=4)
+        warnings = plausibility_warnings(rec)
         assert len(warnings) == 1
         assert "ceiling" in warnings[0]

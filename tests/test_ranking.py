@@ -10,7 +10,8 @@ from citetrace import (
     SummaryRecord,
     UnknownIndicator,
     rank_entities,
-    score_entity,
+    score,
+    summarize,
 )
 from citetrace.cli import main
 from citetrace.reference import matches_displayed, reference_corpus
@@ -18,7 +19,7 @@ from citetrace.reference import matches_displayed, reference_corpus
 
 def lis_entities():
     corpus = reference_corpus()
-    return [score_entity(rec) for rec in corpus.journals if rec.group == "LIS"]
+    return [score(rec) for rec in corpus.journals if rec.group == "LIS"]
 
 
 class TestRankEntities:
@@ -30,14 +31,14 @@ class TestRankEntities:
             assert matches_displayed(row.T, displayed)
 
     def test_single_entity(self):
-        entity = score_entity(CitationList("A", (3, 2, 1)))
+        entity = score(summarize(CitationList("A", (3, 2, 1))))
         ranked = rank_entities([entity], key="h")
         assert len(ranked) == 1
         assert ranked[0].name == "A"
 
     def test_equal_trace_breaks_ties_lexicographically(self):
         counts = (5, 4, 3, 0)
-        entities = [score_entity(CitationList(name, counts)) for name in ("zeta", "alpha", "mid")]
+        entities = [score(summarize(CitationList(name, counts))) for name in ("zeta", "alpha", "mid")]
         ranked = rank_entities(entities, key="T")
         assert [row.name for row in ranked] == ["alpha", "mid", "zeta"]
 
@@ -53,7 +54,7 @@ class TestRankEntities:
 
         unfiltered = names([])
         filtered = names(["--positive-only"])
-        positive = {s.name for s in map(score_entity, reference_corpus().journals)
+        positive = {s.name for s in map(score, reference_corpus().journals)
                     if s.sign == "positive"}
         assert len(filtered) < len(unfiltered)
         assert filtered == [name for name in unfiltered if name in positive]
@@ -70,7 +71,7 @@ class TestRankEntities:
     @given(st.lists(st.lists(st.integers(0, 50), min_size=1, max_size=20),
                     min_size=1, max_size=12))
     def test_sorted_by_key_descending(self, corpus):
-        entities = [score_entity(CitationList(f"e{i:02d}", tuple(counts)))
+        entities = [score(summarize(CitationList(f"e{i:02d}", tuple(counts))))
                     for i, counts in enumerate(corpus)]
         values = [row.T for row in rank_entities(entities, key="T")]
         assert values == sorted(values, reverse=True)
@@ -78,7 +79,7 @@ class TestRankEntities:
     def test_row_carries_all_columns(self):
         rec = SummaryRecord("Ye FY", papers=25, h=5, uncited=9, citations=72,
                             core_citations=51)
-        (row,) = rank_entities([score_entity(rec)], key="T")
+        (row,) = rank_entities([score(rec)], key="T")
         assert row._fields == ("name", "h", "X1", "X2", "X3", "Y1", "Y2", "Y3",
                                "Z1", "Z2", "Z3", "I3X", "I3Y", "T", "sign")
         assert row.h == 5
