@@ -68,6 +68,8 @@ def _load_metrics(path_str: str) -> MetricTable:
 
 
 def _select_group(dataset: DatasetFile, group: str | None) -> tuple:
+    if not dataset.records:
+        raise ValidationError("no records in input")
     if group is None:
         return dataset.records
     wanted = group.lower()

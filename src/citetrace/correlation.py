@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from scipy.special import stdtr
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateInput, LengthMismatch
+
+# numpy is imported inside the functions that use it, so that commands
+# which do not correlate start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "pearson",
@@ -25,11 +28,15 @@ __all__ = [
 
 
 def _require_finite(values: np.ndarray) -> None:
+    import numpy as np
+
     if not np.isfinite(values).all():
         raise DegenerateInput("values must be finite (no NaN or infinity)")
 
 
 def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     if ax.shape != ay.shape or ax.ndim != 1:
@@ -41,9 +48,18 @@ def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, 
     return ax, ay
 
 
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """values times the power of two that brings the largest magnitude into
+    [0.5, 1).  The scaling is exact, so it changes no coefficient whose
+    sums neither overflow nor underflow, and keeps the others finite."""
+    import numpy as np
+
+    return np.ldexp(values, -math.frexp(float(np.abs(values).max()))[1])
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient, clamped into [-1, 1]."""
-    ax, ay = _paired_arrays(x, y)
+    ax, ay = (_unit_scaled(v) for v in _paired_arrays(x, y))
     dx = ax - ax.mean()
     dy = ay - ay.mean()
     sx = float(dx @ dx)
@@ -56,6 +72,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def midranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with tied values sharing the average of their positions."""
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     _require_finite(v)
     order = np.argsort(v, kind="mergesort")
@@ -89,7 +107,58 @@ def significance(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stdtr(n - 2, -abs(t)))
+    df = n - 2
+    # two-tailed Student-t tail: p = I_x(df/2, 1/2) with x = df/(df+t^2)
+    return _betainc(df / 2.0, 0.5, df / (df + t * t), t * t / (df + t * t))
+
+
+_CF_EPS = sys.float_info.epsilon
+_CF_TINY = 1e-300
+# With b = 1/2 the fraction converges in at most about 90 terms for every
+# n from 3 to 10^10; the cap only bounds the loop.
+_CF_MAX_TERMS = 1000
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0.
+
+    y must be 1 - x, computed by the caller without the subtraction, so
+    that an x close to 1 keeps the relative accuracy of its complement.
+    The continued fraction converges fast below x = (a+1)/(a+b+2); above
+    it the symmetry I_x(a, b) = 1 - I_y(b, a) is used instead.
+    """
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, y = b, a, y, x
+    if x == 0.0:
+        value = 0.0
+    else:
+        log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+        value = math.exp(log_front) / (a * _betainc_fraction(a, b, x))
+    return 1.0 - value if flip else value
+
+
+def _betainc_fraction(a: float, b: float, x: float) -> float:
+    """1 + d1/(1 + d2/(1 + ...)) by the modified Lentz method, where
+    d(2m+1) = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)) and
+    d(2m) = m(b-m)x / ((a+2m-1)(a+2m))."""
+    f, c, d = 1.0, 1.0, 0.0
+    for j in range(1, _CF_MAX_TERMS):
+        m = j // 2
+        if j % 2:
+            coef = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        else:
+            coef = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+        c = 1.0 + coef / c
+        c = c if abs(c) > _CF_TINY else _CF_TINY
+        step = c * d
+        f *= step
+        if abs(step - 1.0) <= _CF_EPS:
+            break
+    return f
 
 
 def stars(p: float) -> str:

@@ -1,5 +1,6 @@
 """Test-side oracles: the class-share weights, the weighted I3 sum, the
-trace written directly from class counts, and midranks as a plain loop.
+trace written directly from class counts, midranks as a plain loop, and
+the t-test p-value by quadrature.
 
 They restate the library's results in another form, so the tests can
 check the library against them rather than against itself.
@@ -7,6 +8,7 @@ check the library against them rather than against itself.
 
 from typing import NamedTuple, Sequence
 
+import mpmath
 import numpy as np
 
 
@@ -67,3 +69,18 @@ def midranks_loop(values: Sequence[float]) -> np.ndarray:
         ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
         i = j
     return ranks
+
+
+def t_pvalue_quad(r: float, n: int) -> float:
+    """Two-tailed p of a correlation r from n pairs: numerical quadrature
+    of the Student-t density with n - 2 degrees of freedom."""
+    mpmath.mp.dps = 30
+    df = n - 2
+    t = mpmath.mpf(r) * mpmath.sqrt(df / (1 - mpmath.mpf(r) ** 2))
+
+    def density(x):
+        return (mpmath.gamma((df + 1) / 2)
+                / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2))
+                * (1 + x * x / df) ** (-(df + 1) / 2))
+
+    return float(2 * mpmath.quad(density, [abs(t), mpmath.inf]))

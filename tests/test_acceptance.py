@@ -8,7 +8,6 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +22,7 @@ from citetrace import (
     summarize,
 )
 from citetrace.reference import matches_displayed, reference_corpus
-from oracles import class_weights, i3_aggregate, trace_from_counts
+from oracles import class_weights, i3_aggregate, t_pvalue_quad, trace_from_counts
 
 CORPUS_SEED = 20130322
 RANDOM_LISTS = 10_000
@@ -195,27 +194,13 @@ def test_criterion_7_monotonicity_and_sign():
             True)
 
 
-def _t_pvalue_oracle(r: float, n: int) -> float:
-    """Independent oracle: numerical quadrature of the t density."""
-    mpmath.mp.dps = 30
-    df = n - 2
-    t = mpmath.mpf(r) * mpmath.sqrt(df / (1 - mpmath.mpf(r) ** 2))
-
-    def density(x):
-        return (mpmath.gamma((df + 1) / 2)
-                / (mpmath.sqrt(df * mpmath.pi) * mpmath.gamma(df / 2))
-                * (1 + x * x / df) ** (-(df + 1) / 2))
-
-    return float(2 * mpmath.quad(density, [abs(t), mpmath.inf]))
-
-
 def test_criterion_8_correlation_machinery():
     # hand oracles, frozen before implementation
     assert abs(pearson((1, 2, 3), (3, 2, 4)) - 0.5) <= 1e-12
     assert abs(spearman((1, 2, 3), (3, 2, 4)) - 0.5) <= 1e-12
     assert abs(spearman((1, 1, 2), (5, 5, 9)) - 1.0) <= 1e-12
 
-    assert abs(significance(0.5, 30) - _t_pvalue_oracle(0.5, 30)) <= 1e-4
+    assert abs(significance(0.5, 30) - t_pvalue_quad(0.5, 30)) <= 1e-4
 
     rng = np.random.default_rng(CORPUS_SEED + 2)
     for _ in range(200):

@@ -307,6 +307,27 @@ def _run_cli(args, timeout=30):
                           capture_output=True, timeout=timeout)
 
 
+IMPORT_PROBE = """
+import json, sys
+from citetrace.cli import main
+loaded = {}
+for args in [["--help"], ["compute", "--input", "corpus"], ["rank", "--input", "corpus"],
+             ["validate-reference"], ["correlate", "--input", "corpus"]]:
+    main(args, standalone_mode=False)
+    loaded[args[0]] = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_correlate_and_scipy_never():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "--help": [], "compute": [], "rank": [], "validate-reference": [],
+        "correlate": ["numpy"]}
+
+
 class TestBadInputEndsInOneLineError:
     BIG = 10 ** 400
     PAIR = b"name,P,h,Pz,C,Ch\nA,2,1,0,3,2\nB,4,1,3,5,4\n"
@@ -345,6 +366,22 @@ class TestEmptyGroup:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: no records in group 'nosuch'\n"
+
+
+class TestNoRecords:
+    @pytest.mark.parametrize("command", [
+        ["compute"], ["rank"], ["correlate"], ["plot-data", "--metric-file", "METRICS"],
+    ], ids=["compute", "rank", "correlate", "plot-data"])
+    def test_same_one_line_error_on_every_command(self, runner, tmp_path, command):
+        data = tmp_path / "empty.csv"
+        data.write_text("name,P,h,Pz,C,Ch\n")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("name,IF\nNature,1.0\n")
+        args = [str(metrics) if a == "METRICS" else a for a in command]
+        result = runner.invoke(main, [*args, "--input", str(data)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: no records in input\n"
 
 
 class TestJsonNames:

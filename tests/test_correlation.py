@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from citetrace import (
     spearman,
     stars,
 )
-from oracles import midranks_loop
+from oracles import midranks_loop, t_pvalue_quad
 
 # Frozen before implementation: two-tailed p for r=0.5, n=30 from mpmath
 # quadrature of the t density with 28 degrees of freedom (dps=40).
@@ -86,6 +87,24 @@ class TestPearson:
         transformed = [scale * a + shift for a in x]
         assume(len(set(transformed)) == len(set(x)))
         assert pearson(transformed, y) == pytest.approx(pearson(x, y), abs=1e-9)
+
+
+class TestLargeFiniteInput:
+    # the sums of squared deviations overflow unless each column is scaled first
+    @pytest.mark.parametrize("x, y", [
+        ([1e200, 2e200, 3e200], [3, 1, 2]),
+        ([1e308, -1e308, 0.0], [1, 2, 3]),
+        ([3, 1, 2], [1e200, 2e200, 3e200]),
+    ])
+    def test_exact_coefficient(self, x, y):
+        assert pearson(x, y) == pytest.approx(-0.5, abs=1e-12)
+
+    @given(pair_lists, st.integers(-60, 60))
+    def test_power_of_two_scaling_is_bit_identical(self, pairs, k):
+        x = [a for a, _ in pairs]
+        y = [b for _, b in pairs]
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        assert pearson([math.ldexp(a, 16 * k) for a in x], y) == pearson(x, y)
 
 
 class TestNonFiniteInput:
@@ -200,6 +219,23 @@ class TestSignificance:
     def test_out_of_range_rejected(self):
         with pytest.raises(DegenerateInput):
             significance(1.5, 10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 30, 100, 1500, 10**4])
+    def test_matches_scipy_student_t(self, n):
+        r = np.linspace(-0.999999, 0.999999, 2001)
+        t = r * np.sqrt((n - 2) / (1.0 - r * r))
+        keep = np.abs(t) > 1e-6
+        expected = 2.0 * scipy.special.stdtr(n - 2, -np.abs(t[keep]))
+        computed = np.array([significance(float(v), n) for v in r[keep]])
+        # relative error means nothing once p leaves the normal float range
+        normal = expected >= sys.float_info.min
+        np.testing.assert_allclose(computed[normal], expected[normal], rtol=1e-9, atol=0.0)
+        assert (computed[~normal] < sys.float_info.min).all()
+
+    @pytest.mark.parametrize("r, n", [(-1e-9, 3), (1e-9, 3), (1e-7, 3), (1e-8, 30)])
+    def test_near_zero_matches_quadrature(self, r, n):
+        # scipy's stdtr returns exactly 1.0 at r = -1e-9, n = 3
+        assert significance(r, n) == pytest.approx(t_pvalue_quad(r, n), rel=1e-14)
 
     @given(st.floats(min_value=-0.999, max_value=0.999), st.integers(3, 500))
     def test_p_in_unit_interval_and_symmetric(self, r, n):
