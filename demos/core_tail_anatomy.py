@@ -8,7 +8,6 @@ their natural classes.
 """
 
 from citetrace import (
-    CitationList,
     SummaryRecord,
     h_index,
     plausibility_warnings,
@@ -16,14 +15,14 @@ from citetrace import (
 )
 
 # A small research group: eleven papers with assorted citation counts.
-group = CitationList("demo group", (21, 14, 9, 6, 5, 5, 3, 1, 0, 0, 0))
+name, counts = "demo group", (21, 14, 9, 6, 5, 5, 3, 1, 0, 0, 0)
 
-h = h_index(group)
-print(f"{group.name}: {len(group.counts)} papers, h-index = {h}")
+h = h_index(counts)
+print(f"{name}: {len(counts)} papers, h-index = {h}")
 
 # The summary record splits papers into core / tail / uncited, and
 # citations into the h^2 baseline, the excess above it, and the tail mass.
-record = summarize(group)
+record = summarize(counts, name)
 print(f"  core papers      Pc = {record.h}")
 print(f"  tail papers      Pt = {record.tail_papers}")
 print(f"  uncited papers   Pz = {record.uncited}")
@@ -39,16 +38,16 @@ assert record.citations == record.h ** 2 + record.excess_citations + record.tail
 # Five numbers are enough: P, h, Pz, C, Ch determine everything else.
 print(f"\nsummary record: P={record.papers} h={record.h} Pz={record.uncited} "
       f"C={record.citations} Ch={record.core_citations}")
-rebuilt = SummaryRecord(group.name, record.papers, record.h, record.uncited,
+rebuilt = SummaryRecord(name, record.papers, record.h, record.uncited,
                         record.citations, record.core_citations)
 assert rebuilt == record and rebuilt.tail_citations == record.tail_citations
 print("rebuilding the partition from the five-number summary gives the same result")
 
 # Documents tied exactly at h citations may sit on either side of the
 # boundary; every derived quantity is invariant under that choice.
-tied = CitationList("boundary ties", (3, 3, 3, 3, 3))
-tied_record = summarize(tied)
-print(f"\n{tied.name}: counts {tied.counts} -> h = {tied_record.h}, "
+tied = (3, 3, 3, 3, 3)
+tied_record = summarize(tied, "boundary ties")
+print(f"\n{tied_record.name}: counts {tied} -> h = {tied_record.h}, "
       f"Ch = {tied_record.core_citations} (any {tied_record.h} of the tied papers)")
 
 # Summary exports can be internally consistent yet physically impossible;

@@ -42,7 +42,6 @@ from .errors import (
 )
 from .indicators import INDICATOR_KEYS, Scores, score
 from .partition import (
-    CitationList,
     SummaryRecord,
     h_index,
     plausibility_warnings,
@@ -62,7 +61,6 @@ from .reference import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CitationList",
     "SummaryRecord",
     "h_index",
     "summarize",

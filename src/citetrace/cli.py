@@ -31,7 +31,7 @@ from .datasets import (
 )
 from .errors import CitetraceError, JoinError, ValidationError
 from .indicators import INDICATOR_KEYS, Scores, score
-from .partition import SummaryRecord, plausibility_warnings, summarize
+from .partition import plausibility_warnings
 from .ranking import rank_entities
 from .reference import journals_dataset, units_dataset, validate_corpus
 
@@ -73,20 +73,17 @@ def _select_group(dataset: DatasetFile, group: str | None) -> tuple:
     if group is None:
         return dataset.records
     wanted = group.lower()
-    selected = tuple(r for r in dataset.records
-                     if getattr(r, "group", None) and r.group.lower() == wanted)
+    selected = tuple(r for r in dataset.records if r.group and r.group.lower() == wanted)
     if not selected:
         raise ValidationError(f"no records in group {group!r}")
     return selected
 
 
 def _score_records(records, warn: bool = False) -> list[Scores]:
-    """Summarize each citation list and score every record; with warn, also
-    print each record's plausibility warnings."""
+    """Score every record; with warn, also print each record's plausibility
+    warnings."""
     scores = []
     for rec in records:
-        if not isinstance(rec, SummaryRecord):
-            rec = summarize(rec)
         if warn:
             for warning in plausibility_warnings(rec):
                 click.echo(f"warning: {rec.name}: {warning}", err=True)
@@ -314,14 +311,9 @@ def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     metrics = _load_metrics(metric_file)
     joined, metric_columns = _join_metrics(scores, metrics)
     metric = metrics.metrics[0]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "T", metric])
-    for s, metric_value in zip(joined, metric_columns[metric]):
-        if positive_only and s.sign != "positive":
-            continue
-        writer.writerow([s.name, repr(s.T), repr(metric_value)])
-    click.echo(out.getvalue(), nl=False)
+    rows = [(s.name, s.T, value) for s, value in zip(joined, metric_columns[metric])
+            if not positive_only or s.sign == "positive"]
+    click.echo(_write_csv(["name", "T", metric], rows), nl=False)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -34,15 +35,19 @@ def _require_finite(values: np.ndarray) -> None:
         raise DegenerateInput("values must be finite (no NaN or infinity)")
 
 
+def _require_pair(ax: np.ndarray, ay: np.ndarray) -> None:
+    if ax.shape != ay.shape or ax.ndim != 1:
+        raise LengthMismatch(f"paired sequences must match: {ax.shape} vs {ay.shape}")
+    if ax.size < 2:
+        raise DegenerateInput(f"need at least 2 pairs, got {ax.size}")
+
+
 def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
-    if ax.shape != ay.shape or ax.ndim != 1:
-        raise LengthMismatch(f"paired sequences must match: {ax.shape} vs {ay.shape}")
-    if ax.size < 2:
-        raise DegenerateInput(f"need at least 2 pairs, got {ax.size}")
+    _require_pair(ax, ay)
     _require_finite(ax)
     _require_finite(ay)
     return ax, ay
@@ -57,17 +62,26 @@ def _unit_scaled(values: np.ndarray) -> np.ndarray:
     return np.ldexp(values, -math.frexp(float(np.abs(values).max()))[1])
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient, clamped into [-1, 1]."""
-    ax, ay = (_unit_scaled(v) for v in _paired_arrays(x, y))
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
+def _centred(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """The unit-scaled column minus its mean, d, and its sum of squares d @ d."""
+    scaled = _unit_scaled(values)
+    d = scaled - scaled.mean()
+    return d, float(d @ d)
+
+
+def _coefficient(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    """Pearson r of two ``_centred`` columns, clamped into [-1, 1]."""
+    (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInput("constant sequence has no defined correlation")
     r = float(dx @ dy) / math.sqrt(sx * sy)
     return max(-1.0, min(1.0, r))
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Sample Pearson correlation coefficient, clamped into [-1, 1]."""
+    ax, ay = _paired_arrays(x, y)
+    return _coefficient(_centred(ax), _centred(ay))
 
 
 def midranks(values: Sequence[float]) -> np.ndarray:
@@ -90,7 +104,7 @@ def midranks(values: Sequence[float]) -> np.ndarray:
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho: the Pearson correlation of the midranks."""
     ax, ay = _paired_arrays(x, y)
-    return pearson(midranks(ax), midranks(ay))
+    return _coefficient(_centred(midranks(ax)), _centred(midranks(ay)))
 
 
 def significance(r: float, n: int) -> float:
@@ -204,16 +218,29 @@ def correlation_report(columns: Sequence[tuple[str, Sequence[float]]]) -> Correl
     Columns must already be joined: the i-th element of every column
     belongs to the same entity.  p-values are reported only for n >= 3.
     """
+    import numpy as np
+
     lengths = {len(values) for _, values in columns}
     if len(lengths) > 1:
         raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
+    arrays = [np.asarray(values, dtype=float) for _, values in columns]
+
+    @functools.cache
+    def prepared(i: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+        # once per column, on the first pair that needs it, so that errors come
+        # in the order per-pair pearson and spearman calls would raise them
+        ranks = midranks(arrays[i])  # rejects NaN and infinity
+        return _centred(arrays[i]), _centred(ranks)
+
     pairs = []
-    for (name_a, col_a), (name_b, col_b) in itertools.combinations(columns, 2):
-        n = len(col_a)
-        r = pearson(col_a, col_b)
-        rho = spearman(col_a, col_b)
+    for i, j in itertools.combinations(range(len(columns)), 2):
+        _require_pair(arrays[i], arrays[j])
+        (values_a, ranks_a), (values_b, ranks_b) = prepared(i), prepared(j)
+        n = len(arrays[i])
+        r = _coefficient(values_a, values_b)
+        rho = _coefficient(ranks_a, ranks_b)
         p_r = significance(r, n) if n >= 3 else None
         p_rho = significance(rho, n) if n >= 3 else None
-        pairs.append(PairCorrelation(a=name_a, b=name_b, n=n, pearson_r=r,
+        pairs.append(PairCorrelation(a=columns[i][0], b=columns[j][0], n=n, pearson_r=r,
                                      pearson_p=p_r, spearman_rho=rho, spearman_p=p_rho))
     return CorrelationReport(pairs=tuple(pairs))

@@ -1,10 +1,12 @@
 """Parsing and serialization of entity datasets (summary CSV, citations CSV, JSON).
 
 The summary CSV carries one five-number record per row under the exact
-header ``name,P,h,Pz,C,Ch``.  The citations CSV carries full-resolution
-counts as a semicolon-separated cell under ``name,citations``.  JSON
-mirrors either record type with the same field names.  Parsed datasets
-are immutable; every record is validated before a dataset is accepted.
+header ``name,P,h,Pz,C,Ch``.  The citations CSV carries per-document
+counts as a semicolon-separated cell under ``name,citations``; each list
+is summarized as it is read, so every parser yields ``SummaryRecord``s
+only.  JSON mirrors either file format with the same field names.  The
+serializers write the summary form.  Parsed datasets are immutable;
+every record is validated before a dataset is accepted.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import CitationList, SummaryRecord
+from .partition import SummaryRecord, summarize
 
 __all__ = [
     "DatasetFile",
@@ -33,8 +35,6 @@ __all__ = [
 SUMMARY_HEADER = ("name", "P", "h", "Pz", "C", "Ch")
 CITATIONS_HEADER = ("name", "citations")
 
-Record = Union[SummaryRecord, CitationList]
-
 
 @dataclass(frozen=True)
 class DatasetFile:
@@ -45,7 +45,7 @@ class DatasetFile:
     """
 
     format: str  # "summary-csv" | "citations-csv" | "json"
-    records: tuple[Record, ...]
+    records: tuple[SummaryRecord, ...]
     source: str | None = None
     window: str | None = None
 
@@ -73,80 +73,81 @@ def _rows(data: Union[bytes, str]):
     return csv.reader(io.StringIO(_text(data), newline=""))
 
 
-def _parse_int(cell: str, label: str, line: int) -> int:
-    try:
-        return int(cell.strip())
-    except ValueError:
-        raise ParseError(f"row {line}: {label} is not an integer: {cell!r}") from None
-
-
-def parse_summary_csv(data: Union[bytes, str], source: str | None = None,
-                      window: str | None = None) -> DatasetFile:
-    """Parse five-number summary records; strict validation per row."""
+def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], record,
+               source: str | None, window: str | None) -> DatasetFile:
+    """The row loop both record CSVs share: header, column count, stripped
+    and unique names; ``record(name, cells)`` builds each row's record, and
+    its errors gain the row number."""
     reader = _rows(data)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != SUMMARY_HEADER:
-        raise ParseError(f"summary CSV header must be exactly {','.join(SUMMARY_HEADER)}")
+    first = next(reader, None)
+    if first is None or tuple(h.strip() for h in first) != header:
+        raise ParseError(f"{kind} CSV header must be exactly {','.join(header)}")
     records: list[SummaryRecord] = []
     seen: set[str] = set()
     for row in reader:
         line = reader.line_num
         if not row:
             continue
-        if len(row) != len(SUMMARY_HEADER):
-            raise ParseError(f"row {line}: expected {len(SUMMARY_HEADER)} columns, got {len(row)}")
+        if len(row) != len(header):
+            raise ParseError(f"row {line}: expected {len(header)} columns, got {len(row)}")
         name = row[0].strip()
         if name in seen:
             raise DuplicateEntity(f"row {line}: duplicate entity {name!r}")
-        p, h, pz, c, ch = (_parse_int(cell, label, line)
-                           for cell, label in zip(row[1:], SUMMARY_HEADER[1:]))
         try:
-            records.append(SummaryRecord(name=name, papers=p, h=h, uncited=pz,
-                                         citations=c, core_citations=ch))
-        except ValidationError as err:
-            raise ValidationError(f"row {line}: {err}") from None
+            records.append(record(name, row[1:]))
+        except (ParseError, ValidationError) as err:
+            raise type(err)(f"row {line}: {err}") from None
         seen.add(name)
-    return DatasetFile(format="summary-csv", records=tuple(records),
-                       source=source, window=window)
+    return DatasetFile(format=f"{kind}-csv", records=tuple(records), source=source, window=window)
 
 
-def _parse_counts(cell: str, where: str) -> tuple[int, ...]:
+def _summary_row(name: str, cells: list[str]) -> SummaryRecord:
+    values = []
+    for cell, label in zip(cells, SUMMARY_HEADER[1:]):
+        try:
+            values.append(int(cell.strip()))
+        except ValueError:
+            raise ParseError(f"{label} is not an integer: {cell!r}") from None
+    return SummaryRecord(name, *values)  # P, h, Pz, C, Ch in field order
+
+
+def _parse_counts(cell: str) -> list[int]:
     if not cell.strip():
-        raise ParseError(f"{where}: empty citation list")
+        raise ParseError("empty citation list")
     counts = []
     for token in cell.split(";"):
         try:
             counts.append(int(token.strip()))
         except ValueError:
-            raise ParseError(f"{where}: malformed citation count {token!r}") from None
-    return tuple(counts)
+            raise ParseError(f"malformed citation count {token!r}") from None
+    return counts
+
+
+def parse_summary_csv(data: Union[bytes, str], source: str | None = None,
+                      window: str | None = None) -> DatasetFile:
+    """Parse five-number summary records; strict validation per row."""
+    return _parse_csv(data, "summary", SUMMARY_HEADER, _summary_row, source, window)
 
 
 def parse_citations_csv(data: Union[bytes, str], source: str | None = None,
                         window: str | None = None) -> DatasetFile:
-    """Parse per-document citation counts (semicolon-separated cell)."""
-    reader = _rows(data)
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != CITATIONS_HEADER:
-        raise ParseError(f"citations CSV header must be exactly {','.join(CITATIONS_HEADER)}")
-    records: list[CitationList] = []
-    seen: set[str] = set()
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"row {line}: expected 2 columns, got {len(row)}")
-        name = row[0].strip()
-        if name in seen:
-            raise DuplicateEntity(f"row {line}: duplicate entity {name!r}")
-        try:
-            records.append(CitationList(name=name, counts=_parse_counts(row[1], f"row {line}")))
-        except ValidationError as err:
-            raise ValidationError(f"row {line}: {err}") from None
-        seen.add(name)
-    return DatasetFile(format="citations-csv", records=tuple(records),
-                       source=source, window=window)
+    """Parse per-document citation counts (semicolon-separated cell) and
+    summarize each row's list as it is read."""
+    return _parse_csv(data, "citations", CITATIONS_HEADER,
+                      lambda name, cells: summarize(_parse_counts(cells[0]), name),
+                      source, window)
+
+
+def _json_counts(cell) -> list[int]:
+    if isinstance(cell, str):
+        return _parse_counts(cell)
+    if not isinstance(cell, list):
+        raise ParseError("citations must be a list of counts or a ';'-joined string")
+    if not cell:
+        raise ParseError("empty citation list")
+    if not set(map(type, cell)) <= {int}:
+        raise ParseError("citation counts must be integers")
+    return cell
 
 
 def parse_json(data: Union[bytes, str], source: str | None = None,
@@ -155,7 +156,8 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
 
     Summary objects carry exactly the summary CSV fields; citation
     objects carry ``name`` and ``citations`` (a list of counts, or the
-    CSV's semicolon string).  One file holds one record type.
+    CSV's semicolon string) and are summarized as they are read.  One
+    file holds one record type.
     """
     try:
         payload = json.loads(_text(data))
@@ -163,7 +165,7 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
         raise ParseError(f"invalid JSON: {err}") from None
     if not isinstance(payload, list):
         raise ParseError("JSON dataset must be an array of objects")
-    records: list[Record] = []
+    records: list[SummaryRecord] = []
     seen: set[str] = set()
     kind: str | None = None
     for index, item in enumerate(payload):
@@ -189,30 +191,17 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
             raise DuplicateEntity(f"{where}: duplicate entity {name!r}")
         try:
             if item_kind == "summary":
-                values = {}
                 for field in SUMMARY_HEADER[1:]:
                     value = item[field]
                     if isinstance(value, bool) or not isinstance(value, int):
-                        raise ParseError(f"{where}: {field} must be an integer")
-                    values[field] = value
-                records.append(SummaryRecord(name=name, papers=values["P"], h=values["h"],
-                                             uncited=values["Pz"], citations=values["C"],
-                                             core_citations=values["Ch"]))
+                        raise ParseError(f"{field} must be an integer")
+                records.append(SummaryRecord(name=name, papers=item["P"], h=item["h"],
+                                             uncited=item["Pz"], citations=item["C"],
+                                             core_citations=item["Ch"]))
             else:
-                cell = item["citations"]
-                if isinstance(cell, str):
-                    counts = _parse_counts(cell, where)
-                elif isinstance(cell, list):
-                    if not cell:
-                        raise ParseError(f"{where}: empty citation list")
-                    if any(isinstance(c, bool) or not isinstance(c, int) for c in cell):
-                        raise ParseError(f"{where}: citation counts must be integers")
-                    counts = tuple(cell)
-                else:
-                    raise ParseError(f"{where}: citations must be a list of counts or a ';'-joined string")
-                records.append(CitationList(name=name, counts=counts))
-        except ValidationError as err:
-            raise ValidationError(f"{where}: {err}") from None
+                records.append(summarize(_json_counts(item["citations"]), name))
+        except (ParseError, ValidationError) as err:
+            raise type(err)(f"{where}: {err}") from None
         seen.add(name)
     return DatasetFile(format="json", records=tuple(records), source=source, window=window)
 
@@ -250,30 +239,18 @@ def parse_metric_csv(data: Union[bytes, str], source: str | None = None) -> Metr
 
 
 def dataset_to_csv(dataset: DatasetFile) -> str:
-    """Serialize back to the canonical CSV; re-parsing yields equal records."""
+    """Serialize to the summary CSV; re-parsing yields equal records."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if all(isinstance(r, SummaryRecord) for r in dataset.records):
-        writer.writerow(SUMMARY_HEADER)
-        for rec in dataset.records:
-            writer.writerow([rec.name, rec.papers, rec.h, rec.uncited,
-                             rec.citations, rec.core_citations])
-    elif all(isinstance(r, CitationList) for r in dataset.records):
-        writer.writerow(CITATIONS_HEADER)
-        for rec in dataset.records:
-            writer.writerow([rec.name, ";".join(str(c) for c in rec.counts)])
-    else:
-        raise ValidationError("dataset mixes record types; cannot serialize")
+    writer.writerow(SUMMARY_HEADER)
+    for rec in dataset.records:
+        writer.writerow([rec.name, rec.papers, rec.h, rec.uncited,
+                         rec.citations, rec.core_citations])
     return out.getvalue()
 
 
 def dataset_to_json(dataset: DatasetFile) -> str:
-    """Serialize to the JSON mirror of the CSV fields."""
-    items: list[dict] = []
-    for rec in dataset.records:
-        if isinstance(rec, SummaryRecord):
-            items.append({"name": rec.name, "P": rec.papers, "h": rec.h,
-                          "Pz": rec.uncited, "C": rec.citations, "Ch": rec.core_citations})
-        else:
-            items.append({"name": rec.name, "citations": list(rec.counts)})
+    """Serialize to the JSON mirror of the summary CSV fields."""
+    items = [{"name": rec.name, "P": rec.papers, "h": rec.h, "Pz": rec.uncited,
+              "C": rec.citations, "Ch": rec.core_citations} for rec in dataset.records]
     return json.dumps(items, indent=2) + "\n"

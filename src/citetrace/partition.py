@@ -13,12 +13,11 @@ exact integer arithmetic on immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ValidationError
 
 __all__ = [
-    "CitationList",
     "SummaryRecord",
     "h_index",
     "summarize",
@@ -32,24 +31,6 @@ def _require_count(value: int, label: str) -> int:
     if value < 0:
         raise ValidationError(f"{label} must be >= 0, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class CitationList:
-    """Per-document citation counts for one entity, in any order."""
-
-    name: str
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("entity name must be non-empty")
-        counts = tuple(self.counts)
-        if not counts:
-            raise ValidationError(f"{self.name}: citation list must contain at least one document")
-        for c in counts:
-            _require_count(c, f"{self.name}: citation count")
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -112,27 +93,36 @@ class SummaryRecord:
         return self.citations - self.core_citations
 
 
-def h_index(source: Union[CitationList, Iterable[int]]) -> int:
+def h_index(counts: Iterable[int]) -> int:
     """Largest h such that at least h documents have at least h citations."""
-    return summarize(source).h
+    return summarize(counts).h
 
 
-def summarize(source: Union[CitationList, Iterable[int]]) -> SummaryRecord:
-    """Collapse a citation list to its five-number summary record.
+def summarize(counts: Iterable[int], name: str = "anonymous") -> SummaryRecord:
+    """Collapse one entity's per-document citation counts to its summary record.
 
-    Documents tied at the boundary value h may sit in core or tail; the
-    core is taken as any h largest counts, which leaves every derived
-    quantity unchanged because tied values are equal.
+    The counts must be non-empty integers >= 0, in any order; the first
+    bad count in input order is the one reported.  Documents tied at the
+    boundary value h may sit in core or tail; the core is taken as any h
+    largest counts, which leaves every derived quantity unchanged because
+    tied values are equal.
     """
-    cl = source if isinstance(source, CitationList) else CitationList("anonymous", tuple(source))
-    ranked = sorted(cl.counts, reverse=True)
+    if not name:
+        raise ValidationError("entity name must be non-empty")
+    ranked = list(counts)
+    if not ranked:
+        raise ValidationError(f"{name}: citation list must contain at least one document")
+    if not (set(map(type, ranked)) <= {int} and min(ranked) >= 0):
+        for c in ranked:
+            _require_count(c, f"{name}: citation count")
+    ranked.sort(reverse=True)
     h = 0
     for rank, cites in enumerate(ranked, start=1):
         if cites >= rank:
             h = rank
         else:
             break
-    return SummaryRecord(name=cl.name, papers=len(ranked), h=h, uncited=ranked.count(0),
+    return SummaryRecord(name=name, papers=len(ranked), h=h, uncited=ranked.count(0),
                          citations=sum(ranked), core_citations=sum(ranked[:h]))
 
 

@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import citetrace.correlation
 from citetrace import (
     DegenerateInput,
     LengthMismatch,
@@ -287,3 +288,32 @@ class TestCorrelationReport:
         noisy = tuple(v + ((-1) ** v) * 0.1 for v in x)
         report = correlation_report([("x", x), ("y", noisy)])
         assert report.pairs[0].pearson_stars == "**"
+
+    def test_each_column_ranked_once(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return midranks(values)
+
+        monkeypatch.setattr(citetrace.correlation, "midranks", counting)
+        columns = [(f"c{i}", tuple(float(v) for v in range(i, i + 10))) for i in range(6)]
+        report = correlation_report(columns)
+        assert len(report.pairs) == 15
+        assert calls == [10] * 6
+
+    def test_rows_bit_identical_to_pairwise_calls(self):
+        rng = np.random.default_rng(11)
+        columns = [("ties", rng.integers(0, 5, size=300).tolist()),
+                   ("few", rng.integers(0, 2, size=300).tolist()),
+                   ("float", rng.normal(size=300).tolist()),
+                   ("skew", rng.lognormal(size=300).tolist())]
+        report = correlation_report(columns)
+        expected = []
+        for i, (a, x) in enumerate(columns):
+            for b, y in columns[i + 1:]:
+                r, rho = pearson(x, y), spearman(x, y)
+                expected.append((a, b, 300, r, significance(r, 300), rho, significance(rho, 300)))
+        got = [(p.a, p.b, p.n, p.pearson_r, p.pearson_p, p.spearman_rho, p.spearman_p)
+               for p in report.pairs]
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected]

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from citetrace import (
-    CitationList,
     DuplicateEntity,
     ParseError,
     SummaryRecord,
@@ -16,10 +15,12 @@ from citetrace import (
     parse_json,
     parse_metric_csv,
     parse_summary_csv,
+    summarize,
 )
 
 SUMMARY = "name,P,h,Pz,C,Ch\nJ Informetr,105,18,5,1132,574\nYe FY,25,5,9,72,51\n"
 CITATIONS = "name,citations\nA,10;8;5;4;3\nB,0;0;0\n"
+CITATION_RECORDS = (summarize((10, 8, 5, 4, 3), "A"), summarize((0, 0, 0), "B"))
 
 
 class TestParseSummaryCsv:
@@ -67,8 +68,7 @@ class TestParseCitationsCsv:
     def test_counts_parsed(self):
         ds = parse_citations_csv(CITATIONS)
         assert ds.format == "citations-csv"
-        assert ds.records[0] == CitationList("A", (10, 8, 5, 4, 3))
-        assert ds.records[1].counts == (0, 0, 0)
+        assert ds.records == CITATION_RECORDS
 
     def test_empty_list_rejected(self):
         with pytest.raises(ParseError, match="empty citation list"):
@@ -106,8 +106,7 @@ class TestParseJson:
             {"name": "B", "citations": "3;2;0"},
         ])
         ds = parse_json(payload)
-        assert ds.records[0].counts == (10, 8, 5)
-        assert ds.records[1].counts == (3, 2, 0)
+        assert ds.records == (summarize((10, 8, 5), "A"), summarize((3, 2, 0), "B"))
 
     def test_mixed_record_types_rejected(self):
         payload = json.dumps([
@@ -167,7 +166,14 @@ class TestRoundTrips:
 
     def test_citations_csv_round_trip(self):
         ds = parse_citations_csv(CITATIONS)
-        assert parse_citations_csv(dataset_to_csv(ds)).records == ds.records
+        assert ds.records == CITATION_RECORDS
+        assert parse_summary_csv(dataset_to_csv(ds)).records == ds.records
+
+    def test_citations_serialize_as_summaries(self):
+        ds = parse_citations_csv(CITATIONS)
+        assert dataset_to_csv(ds) == "name,P,h,Pz,C,Ch\nA,5,4,0,30,27\nB,3,0,3,0,0\n"
+        assert json.loads(dataset_to_json(ds))[1] == {"name": "B", "P": 3, "h": 0, "Pz": 3,
+                                                      "C": 0, "Ch": 0}
 
     def test_json_round_trip_both_kinds(self):
         for ds in (parse_summary_csv(SUMMARY), parse_citations_csv(CITATIONS)):
@@ -177,6 +183,28 @@ class TestRoundTrips:
         data = 'name,P,h,Pz,C,Ch\n"Libr, J",10,2,3,9,5\n'
         ds = parse_summary_csv(data)
         assert parse_summary_csv(dataset_to_csv(ds)).records == ds.records
+
+
+class TestOneRecordType:
+    """Every parser summarizes as it reads: records are ``SummaryRecord``s only."""
+
+    @pytest.mark.parametrize("parse, data", [
+        (parse_summary_csv, SUMMARY),
+        (parse_citations_csv, CITATIONS),
+        (parse_json, json.dumps([{"name": "A", "citations": [10, 8, 5, 4, 3]}])),
+        (parse_json, json.dumps([{"name": "A", "citations": "10;8;5;4;3"}])),
+        (parse_json, json.dumps([{"name": "A", "P": 10, "h": 2, "Pz": 3, "C": 9, "Ch": 5}])),
+    ], ids=["summary-csv", "citations-csv", "json-list", "json-string", "json-summary"])
+    def test_records_are_summary_records(self, parse, data):
+        records = parse(data).records
+        assert records and all(type(r) is SummaryRecord for r in records)
+
+    def test_first_bad_count_names_the_row(self):
+        with pytest.raises(ValidationError, match="^row 3: B: citation count must be >= 0, got -1$"):
+            parse_citations_csv("name,citations\nA,1\nB,4;-1;-2\n")
+        with pytest.raises(ValidationError,
+                           match="^item 0: A: citation count must be >= 0, got -4$"):
+            parse_json(json.dumps([{"name": "A", "citations": "1;-4;-5"}]))
 
 
 class TestParseMetricCsv:

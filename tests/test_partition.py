@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citetrace import (
-    CitationList,
     SummaryRecord,
     ValidationError,
     h_index,
@@ -49,7 +48,7 @@ class TestHIndex:
         assert h_index([1]) == 1
 
     def test_accepts_citation_list(self):
-        assert h_index(CitationList("A", (10, 8, 5, 4, 3))) == 4
+        assert h_index(c for c in (10, 8, 5, 4, 3)) == 4
 
     @given(citation_lists)
     def test_matches_brute_force_oracle(self, counts):
@@ -66,7 +65,7 @@ class TestPartitionFromList:
     """``summarize``, the one route from a citation list to a record."""
 
     def test_mixed_counts(self):
-        rec = summarize(CitationList("A", (10, 8, 5, 4, 3)))
+        rec = summarize((10, 8, 5, 4, 3), "A")
         assert rec.name == "A"
         assert rec.h == 4
         assert rec.tail_papers == 1
@@ -165,17 +164,44 @@ class TestSummaryValidation:
 
 
 class TestCitationListValidation:
+    """``summarize`` checks the name, then emptiness, then each count in input order."""
+
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            CitationList("A", ())
+        with pytest.raises(ValidationError,
+                           match="^A: citation list must contain at least one document$"):
+            summarize((), "A")
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValidationError):
-            CitationList("A", (3, -1))
+        with pytest.raises(ValidationError, match="^A: citation count must be >= 0, got -1$"):
+            summarize((3, -1), "A")
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValidationError):
-            CitationList("A", (3, 1.5))
+        with pytest.raises(ValidationError,
+                           match=r"^A: citation count must be an integer, got 1\.5$"):
+            summarize((3, 1.5), "A")
+
+    def test_boolean_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^A: citation count must be an integer, got True$"):
+            summarize((3, True), "A")
+
+    @pytest.mark.parametrize("counts, bad", [((3, -1, 1.5, True), "must be >= 0, got -1"),
+                                             ((3, 1.5, -1), "must be an integer, got 1.5"),
+                                             ((True, -2), "must be an integer, got True"),
+                                             ((0, -2, -1), "must be >= 0, got -2")],
+                             ids=["negative-before-float", "float-before-negative",
+                                  "bool-first", "first-of-two-negatives"])
+    def test_first_bad_count_in_input_order(self, counts, bad):
+        with pytest.raises(ValidationError) as err:
+            summarize(counts, "A")
+        assert str(err.value) == f"A: citation count {bad}"
+
+    def test_name_checked_first(self):
+        with pytest.raises(ValidationError, match="^entity name must be non-empty$"):
+            summarize((), "")
+
+    def test_default_name(self):
+        assert summarize([2, 1]).name == "anonymous"
 
 
 class TestPlausibilityWarnings:

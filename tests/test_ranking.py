@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citetrace import (
-    CitationList,
     SummaryRecord,
     UnknownIndicator,
     rank_entities,
@@ -31,14 +30,14 @@ class TestRankEntities:
             assert matches_displayed(row.T, displayed)
 
     def test_single_entity(self):
-        entity = score(summarize(CitationList("A", (3, 2, 1))))
+        entity = score(summarize((3, 2, 1), "A"))
         ranked = rank_entities([entity], key="h")
         assert len(ranked) == 1
         assert ranked[0].name == "A"
 
     def test_equal_trace_breaks_ties_lexicographically(self):
         counts = (5, 4, 3, 0)
-        entities = [score(summarize(CitationList(name, counts))) for name in ("zeta", "alpha", "mid")]
+        entities = [score(summarize(counts, name)) for name in ("zeta", "alpha", "mid")]
         ranked = rank_entities(entities, key="T")
         assert [row.name for row in ranked] == ["alpha", "mid", "zeta"]
 
@@ -71,7 +70,7 @@ class TestRankEntities:
     @given(st.lists(st.lists(st.integers(0, 50), min_size=1, max_size=20),
                     min_size=1, max_size=12))
     def test_sorted_by_key_descending(self, corpus):
-        entities = [score(summarize(CitationList(f"e{i:02d}", tuple(counts))))
+        entities = [score(summarize(counts, f"e{i:02d}"))
                     for i, counts in enumerate(corpus)]
         values = [row.T for row in rank_entities(entities, key="T")]
         assert values == sorted(values, reverse=True)
