@@ -7,7 +7,8 @@ impact-factor-style column here, synthesized for the demo), then runs
 Pearson and Spearman correlations with two-tailed significance levels.
 """
 
-import numpy as np
+import math
+import random
 
 from citetrace import (
     correlation_report,
@@ -28,9 +29,8 @@ h_values = [row.h for row in table]
 
 # Synthetic external metric: loosely tracks the trace on a log scale,
 # with deterministic noise standing in for editorial fortune.
-rng = np.random.default_rng(7)
-synthetic_if = [float(np.log1p(t if t > 0 else 0) * 0.4 + rng.uniform(0, 1.5))
-                for t in traces]
+rng = random.Random(7)
+synthetic_if = [math.log1p(t if t > 0 else 0) * 0.4 + rng.uniform(0, 1.5) for t in traces]
 
 report = correlation_report([
     ("T", traces),

@@ -9,8 +9,6 @@ citation surplus of each class.  The trace T = X1 + Y2 + Z3 condenses
 the whole 3x3 matrix into a single signed number.
 """
 
-import numpy as np
-
 from citetrace import reference_corpus, score
 
 corpus = reference_corpus()
@@ -20,13 +18,13 @@ corpus = reference_corpus()
 for name in ("J Informetr", "J Am Soc Inf Sci Tec"):
     record = corpus.record(name)
     s = score(record)
-    matrix = np.array([[s.X1, s.X2, s.X3],
-                       [s.Y1, s.Y2, s.Y3],
-                       [s.Z1, s.Z2, s.Z3]])
+    matrix = [(s.X1, s.X2, s.X3),
+              (s.Y1, s.Y2, s.Y3),
+              (s.Z1, s.Z2, s.Z3)]
 
     print(f"{name}  (P={record.papers}, h={record.h}, C={record.citations})")
-    with np.printoptions(precision=2, suppress=True):
-        print(matrix)
+    for label, row in zip("XYZ", matrix):
+        print(f"  {label}  " + "  ".join(f"{v:9.2f}" for v in row))
     print(f"  T = {s.X1:.2f} + {s.Y2:.2f} + {s.Z3:.2f} = {s.T:.2f}  [{s.sign}]")
     share = s.Y2 / s.T
     print(f"  tail citations carry {share:.1%} of the trace\n")

@@ -29,7 +29,7 @@ from .datasets import (
     parse_metric_csv,
     parse_summary_csv,
 )
-from .errors import CitetraceError, JoinError, ValidationError
+from .errors import CitetraceError, JoinError, ParseError, ValidationError
 from .indicators import INDICATOR_KEYS, Scores, score
 from .partition import plausibility_warnings
 from .ranking import rank_entities
@@ -64,7 +64,12 @@ def _load_metrics(path_str: str) -> MetricTable:
     path = Path(path_str)
     if not path.is_file():
         raise click.UsageError(f"metric file not found: {path_str}")
-    return parse_metric_csv(path.read_bytes(), source=str(path))
+    metrics = parse_metric_csv(path.read_bytes(), source=str(path))
+    for metric in metrics.metrics:
+        if metric in INDICATOR_KEYS:
+            # it would be shadowed by the indicator in correlate and plot-data
+            raise ParseError(f"metric CSV column {metric!r} has the name of an indicator")
+    return metrics
 
 
 def _select_group(dataset: DatasetFile, group: str | None) -> tuple:
@@ -93,8 +98,6 @@ def _score_records(records, warn: bool = False) -> list[Scores]:
 
 def _format_sig(value: float, figures: int) -> str:
     """Fixed-notation rounding to significant figures (tables only)."""
-    if isinstance(value, int):
-        return str(value)
     if value == 0 or not math.isfinite(value):
         return str(value)
     digits = figures - 1 - math.floor(math.log10(abs(value)))

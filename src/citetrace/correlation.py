@@ -1,20 +1,28 @@
-"""Pearson and Spearman correlation with midrank ties and t-based p-values."""
+"""Pearson and Spearman correlation with midrank ties and t-based p-values.
+
+Coefficients are exact until one final rounding.  A finite float is a
+dyadic rational, so a column over its largest power-of-two denominator
+is a list of integers, and num = n*Sxy - Sx*Sy, dx = n*Sxx - Sx^2 and
+dy = n*Syy - Sy^2 are exact integers that cannot overflow.  r^2 =
+num^2/(dx*dy) is one correctly rounded division, taken at a power-of-four
+scale that keeps it a normal float even for |r| < 2^-511, and |r| is its
+square root.  So pearson r and spearman rho are within one unit in the
+last place of the exact coefficient of their input floats, for finite
+input of any magnitude; only an |r| below 2^-1022, itself subnormal, is
+rounded a second time.  A column is constant exactly when its dx is 0.
+"""
 
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DegenerateInput, LengthMismatch
-
-# numpy is imported inside the functions that use it, so that commands
-# which do not correlate start without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "pearson",
@@ -28,83 +36,72 @@ __all__ = [
 ]
 
 
-def _require_finite(values: np.ndarray) -> None:
-    import numpy as np
-
-    if not np.isfinite(values).all():
+def _require_finite(values: list[float]) -> None:
+    if not all(map(math.isfinite, values)):
         raise DegenerateInput("values must be finite (no NaN or infinity)")
 
 
-def _require_pair(ax: np.ndarray, ay: np.ndarray) -> None:
-    if ax.shape != ay.shape or ax.ndim != 1:
-        raise LengthMismatch(f"paired sequences must match: {ax.shape} vs {ay.shape}")
-    if ax.size < 2:
-        raise DegenerateInput(f"need at least 2 pairs, got {ax.size}")
+def _require_pair(x: list[float], y: list[float]) -> None:
+    if len(x) != len(y):
+        raise LengthMismatch(f"paired sequences must match: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise DegenerateInput(f"need at least 2 pairs, got {len(x)}")
 
 
-def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    _require_pair(ax, ay)
-    _require_finite(ax)
-    _require_finite(ay)
-    return ax, ay
+# a column as integers over one denominator, their sum, and n*(sum of squares) - sum^2
+_Exact = tuple[list[int], int, int]
 
 
-def _unit_scaled(values: np.ndarray) -> np.ndarray:
-    """values times the power of two that brings the largest magnitude into
-    [0.5, 1).  The scaling is exact, so it changes no coefficient whose
-    sums neither overflow nor underflow, and keeps the others finite."""
-    import numpy as np
-
-    return np.ldexp(values, -math.frexp(float(np.abs(values).max()))[1])
-
-
-def _centred(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """The unit-scaled column minus its mean, d, and its sum of squares d @ d."""
-    scaled = _unit_scaled(values)
-    d = scaled - scaled.mean()
-    return d, float(d @ d)
+def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
+    fx, fy = [float(v) for v in x], [float(v) for v in y]
+    _require_pair(fx, fy)
+    _require_finite(fx)
+    _require_finite(fy)
+    return fx, fy
 
 
-def _coefficient(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
-    """Pearson r of two ``_centred`` columns, clamped into [-1, 1]."""
-    (dx, sx), (dy, sy) = x, y
-    if sx == 0.0 or sy == 0.0:
+def _exact(column: list[float]) -> _Exact:
+    """The finite column times its largest power-of-two denominator."""
+    ratios = [v.as_integer_ratio() for v in column]
+    bits = max(d for _, d in ratios).bit_length()
+    ints = [m << (bits - d.bit_length()) for m, d in ratios]
+    total = sum(ints)
+    return ints, total, len(ints) * sum(map(operator.mul, ints, ints)) - total * total
+
+
+def _coefficient(x: _Exact, y: _Exact) -> float:
+    """Pearson r of two ``_exact`` columns, rounded from exact integers."""
+    (xs, sx, dx), (ys, sy, dy) = x, y
+    if dx == 0 or dy == 0:
         raise DegenerateInput("constant sequence has no defined correlation")
-    r = float(dx @ dy) / math.sqrt(sx * sy)
-    return max(-1.0, min(1.0, r))
+    num = len(xs) * sum(map(operator.mul, xs, ys)) - sx * sy
+    square, bound = num * num, dx * dy  # square <= bound: Cauchy-Schwarz
+    k = (bound.bit_length() - square.bit_length()) // 2  # |r| is about 2^-k
+    r = math.ldexp(math.sqrt((square << 2 * k) / bound), -k)
+    return -r if num < 0 else r
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient, clamped into [-1, 1]."""
-    ax, ay = _paired_arrays(x, y)
-    return _coefficient(_centred(ax), _centred(ay))
+    """Sample Pearson correlation coefficient, rounded from its exact value."""
+    fx, fy = _paired(x, y)
+    return _coefficient(_exact(fx), _exact(fy))
 
 
-def midranks(values: Sequence[float]) -> np.ndarray:
+def midranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n with tied values sharing the average of their positions."""
-    import numpy as np
-
-    v = np.asarray(values, dtype=float)
+    v = [float(x) for x in values]
     _require_finite(v)
-    order = np.argsort(v, kind="mergesort")
-    ordered = v[order]
-    # each run of tied values fills sorted positions start .. end-1 and
-    # shares the average of ranks start+1 .. end
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], v.size]
-    ranks = np.empty(v.size, dtype=float)
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    return ranks
+    ends = {x: i + 1 for i, x in enumerate(sorted(v))}  # ascending, one past each tie run
+    rank, start = {}, 0
+    for x, end in ends.items():  # x fills sorted positions start .. end-1
+        rank[x], start = 0.5 * (start + end + 1), end
+    return [rank[x] for x in v]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho: the Pearson correlation of the midranks."""
-    ax, ay = _paired_arrays(x, y)
-    return _coefficient(_centred(midranks(ax)), _centred(midranks(ay)))
+    fx, fy = _paired(x, y)
+    return _coefficient(_exact(midranks(fx)), _exact(midranks(fy)))
 
 
 def significance(r: float, n: int) -> float:
@@ -218,25 +215,23 @@ def correlation_report(columns: Sequence[tuple[str, Sequence[float]]]) -> Correl
     Columns must already be joined: the i-th element of every column
     belongs to the same entity.  p-values are reported only for n >= 3.
     """
-    import numpy as np
-
     lengths = {len(values) for _, values in columns}
     if len(lengths) > 1:
         raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
-    arrays = [np.asarray(values, dtype=float) for _, values in columns]
+    floats = [[float(v) for v in values] for _, values in columns]
 
     @functools.cache
-    def prepared(i: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+    def prepared(i: int) -> tuple[_Exact, _Exact]:
         # once per column, on the first pair that needs it, so that errors come
         # in the order per-pair pearson and spearman calls would raise them
-        ranks = midranks(arrays[i])  # rejects NaN and infinity
-        return _centred(arrays[i]), _centred(ranks)
+        ranks = midranks(floats[i])  # rejects NaN and infinity
+        return _exact(floats[i]), _exact(ranks)
 
     pairs = []
     for i, j in itertools.combinations(range(len(columns)), 2):
-        _require_pair(arrays[i], arrays[j])
+        _require_pair(floats[i], floats[j])
         (values_a, ranks_a), (values_b, ranks_b) = prepared(i), prepared(j)
-        n = len(arrays[i])
+        n = len(floats[i])
         r = _coefficient(values_a, values_b)
         rho = _coefficient(ranks_a, ranks_b)
         p_r = significance(r, n) if n >= 3 else None

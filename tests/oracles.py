@@ -1,11 +1,14 @@
 """Test-side oracles: the class-share weights, the weighted I3 sum, the
-trace written directly from class counts, midranks as a plain loop, and
-the t-test p-value by quadrature.
+trace written directly from class counts, midranks as a plain loop, the
+correctly rounded Pearson coefficient from rational arithmetic, and the
+t-test p-value by quadrature.
 
 They restate the library's results in another form, so the tests can
 check the library against them rather than against itself.
 """
 
+import math
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath
@@ -69,6 +72,28 @@ def midranks_loop(values: Sequence[float]) -> np.ndarray:
         ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
         i = j
     return ranks
+
+
+def pearson_exact(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson r of the float inputs, correctly rounded: the moments in
+    ``Fraction``, then the square root of r^2 rounded once, from an integer
+    square root with at least 60 bits and a sticky bit for any remainder."""
+    fx = [Fraction(float(v)) for v in x]
+    fy = [Fraction(float(v)) for v in y]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+    square = sxy * sxy / (sum((a - mx) ** 2 for a in fx) * sum((b - my) ** 2 for b in fy))
+    p, q = square.numerator, square.denominator
+    k = max(0, (q.bit_length() - p.bit_length()) // 2 + 60)
+    root = math.isqrt((p << 2 * k) // q)  # floor of sqrt(r^2) * 2^k
+    sticky = root * root * q != p << 2 * k
+    r = (2 * root + sticky) / (1 << (k + 1))  # int / int rounds correctly
+    return -r if sxy < 0 else r
+
+
+def within_one_ulp(value: float, exact: float) -> bool:
+    """value is exact or one of its two float neighbours."""
+    return value in (math.nextafter(exact, -math.inf), exact, math.nextafter(exact, math.inf))
 
 
 def t_pvalue_quad(r: float, n: int) -> float:

@@ -312,20 +312,23 @@ import json, sys
 from citetrace.cli import main
 loaded = {}
 for args in [["--help"], ["compute", "--input", "corpus"], ["rank", "--input", "corpus"],
-             ["validate-reference"], ["correlate", "--input", "corpus"]]:
+             ["validate-reference"], ["correlate", "--input", "corpus"],
+             ["plot-data", "--input", "corpus", "--metric-file", sys.argv[1]]]:
     main(args, standalone_mode=False)
     loaded[args[0]] = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 print(json.dumps(loaded))
 """
 
 
-def test_numpy_loads_only_for_correlate_and_scipy_never():
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
-                          text=True, timeout=60)
+def test_numpy_and_scipy_never_load(tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("name,IF\nNature,1.0\nScience,2.0\n")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(metrics)],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "--help": [], "compute": [], "rank": [], "validate-reference": [],
-        "correlate": ["numpy"]}
+        "correlate": [], "plot-data": []}
 
 
 class TestBadInputEndsInOneLineError:
@@ -352,6 +355,22 @@ class TestBadInputEndsInOneLineError:
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
         assert needle in proc.stderr
+
+
+class TestMetricNamedAfterIndicator:
+    @pytest.mark.parametrize("command", [["correlate"], ["plot-data"]],
+                             ids=["correlate", "plot-data"])
+    @pytest.mark.parametrize("header", ["name,T,IF", "name,IF,h"], ids=["T-first", "h-second"])
+    def test_one_line_error_naming_the_column(self, runner, tmp_path, command, header):
+        column = next(c for c in header.split(",")[1:] if c != "IF")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(f"{header}\nNature,1.0,2.0\nScience,3.0,5.0\n")
+        result = runner.invoke(main, [*command, "--input", "corpus", "--metric-file",
+                                      str(metrics)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: metric CSV column {column!r} has the name "
+                                 "of an indicator\n")
 
 
 class TestEmptyGroup:

@@ -22,7 +22,7 @@ from citetrace import (
     spearman,
     stars,
 )
-from oracles import midranks_loop, t_pvalue_quad
+from oracles import midranks_loop, pearson_exact, t_pvalue_quad, within_one_ulp
 
 # Frozen before implementation: two-tailed p for r=0.5, n=30 from mpmath
 # quadrature of the t density with 28 degrees of freedom (dps=40).
@@ -108,6 +108,42 @@ class TestLargeFiniteInput:
         assert pearson([math.ldexp(a, 16 * k) for a in x], y) == pearson(x, y)
 
 
+class TestWithinOneUlpOfExact:
+    # finite floats of every magnitude, and columns sitting on a large
+    # offset, where centring in floats would cancel most of the bits
+    any_finite = st.floats(allow_nan=False, allow_infinity=False)
+    offset = st.sampled_from([0.0, 1e6, -1e6, 2.0 ** 40, 1e15, 1e200, 1e308])
+    columns = st.tuples(st.lists(st.tuples(any_finite | finite, any_finite | finite),
+                                 min_size=2, max_size=40), offset, offset)
+
+    @staticmethod
+    def shifted(pairs, dx, dy):
+        x = [a + dx for a, _ in pairs]
+        y = [b + dy for _, b in pairs]
+        assume(all(map(math.isfinite, x + y)) and len(set(x)) > 1 and len(set(y)) > 1)
+        return x, y
+
+    @given(columns)
+    def test_pearson(self, case):
+        x, y = self.shifted(*case)
+        assert within_one_ulp(pearson(x, y), pearson_exact(x, y))
+
+    @given(columns)
+    def test_spearman(self, case):
+        x, y = self.shifted(*case)
+        assert within_one_ulp(spearman(x, y), pearson_exact(midranks_loop(x), midranks_loop(y)))
+
+    @pytest.mark.parametrize("x, y", [
+        ([1e200, 2e200, 3e200], [3, 1, 2]),  # the columns of TestLargeFiniteInput
+        ([1e308, -1e308, 0.0], [1, 2, 3]),
+        ([1e6 + 0.1, 1e6 + 0.2, 1e6 + 0.4], [1, 2, 3]),
+        ([0.0, 1.0, 2.0], [0.0, 2.0 ** 600, 2.0 ** -100]),  # r about 2^-700: r^2 underflows
+        ([0.0, 1.0, 2.0], [0.0, 2.0 ** 1000, 5e-324]),  # r itself underflows to 0
+    ])
+    def test_extreme_cases(self, x, y):
+        assert within_one_ulp(pearson(x, y), pearson_exact(x, y))
+
+
 class TestNonFiniteInput:
     # NaN once made midranks loop forever, so every call that reaches it
     # with NaN runs in a child process, where a hang fails the test.
@@ -154,13 +190,15 @@ class TestMidranks:
 
     @given(st.lists(st.integers(0, 20), max_size=50))
     def test_bit_identical_to_loop(self, values):
-        assert midranks(values).tobytes() == midranks_loop(values).tobytes()
+        ranks = midranks(values)
+        assert type(ranks) is list
+        assert np.array(ranks, dtype=float).tobytes() == midranks_loop(values).tobytes()
 
     def test_bit_identical_on_large_columns(self):
         rng = np.random.default_rng(7)
         for values in (rng.integers(0, 5, size=1500).astype(float),  # tie-heavy
                        rng.normal(size=1500)):
-            ranks = midranks(values).tobytes()
+            ranks = np.array(midranks(values), dtype=float).tobytes()
             assert ranks == midranks_loop(values).tobytes()
             assert ranks == scipy.stats.rankdata(values).tobytes()
 
