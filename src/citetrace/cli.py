@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -101,47 +102,77 @@ def _format_sig(value: float, figures: int) -> str:
     if value == 0 or not math.isfinite(value):
         return str(value)
     digits = figures - 1 - math.floor(math.log10(abs(value)))
-    rounded = round(value, digits)
-    if digits <= 0:
-        return f"{rounded:.0f}"
-    return f"{rounded:.{digits}f}"
+    if digits > 0:
+        # formatting rounds the exact binary value half to even, as round() would
+        return f"{value:.{digits}f}"
+    # Round to a multiple of 10**-digits, half to even, in integers: round()
+    # raises OverflowError when the result passes the float maximum.
+    scale = 10 ** -digits
+    num, den = value.as_integer_ratio()
+    quotient, rest = divmod(num, den * scale)
+    if 2 * rest > den * scale or (2 * rest == den * scale and quotient % 2):
+        quotient += 1
+    rounded = quotient * scale
+    try:
+        return f"{float(rounded):.0f}"
+    except OverflowError:
+        return str(rounded)
 
 
-def _cell(value, figures: int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if figures is None:
-        return repr(float(value))
-    return _format_sig(value, figures)
+def _encode(column: Sequence, encoders: dict) -> list[str]:
+    """Each cell's text: one encoder call per column when the column holds one type."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return encoders[kinds.pop()](column)
+    return [encoders[type(v)]((v,))[0] for v in column]
 
 
 def _write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int) -> str:
-    cells = [[_cell(v, figures) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) if i == 0 else h.rjust(w)
-                       for i, (h, w) in enumerate(zip(headers, widths)))]
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) if i == 0 else v.rjust(w)
-                               for i, (v, w) in enumerate(zip(row, widths))))
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+    encoders = {
+        str: list,
+        int: lambda column: list(map(str, column)),
+        float: lambda column: list(map(_format_sig, column, repeat(figures))),
+        type(None): lambda column: [""] * len(column),
+    }
+    cells = [_encode(column, encoders) for column in zip(*rows)] or [[]] * len(headers)
+    widths = [max(len(h), max(map(len, column), default=0)) for h, column in zip(headers, cells)]
+    template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
+    lines = [template.format(*headers), *map(template.format, *cells)]
+    return "\n".join(map(str.rstrip, lines)) + "\n"
 
 
 def _write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_cell(v, None) for v in row])
+    writer.writerows(rows)  # None as "", floats by repr
     return out.getvalue()
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(column: Sequence[float]) -> list[str]:
+    text = list(map(float.__repr__, column))
+    return list(map(_JSON_NONFINITE.get, text, text))
+
+
+_JSON_ENCODERS = {
+    str: lambda column: list(map(encode_basestring_ascii, column)),
+    int: lambda column: list(map(int.__repr__, column)),
+    float: _json_floats,
+    type(None): lambda column: ["null"] * len(column),
+}
+
+
 def _write_json(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    return json.dumps([dict(zip(headers, row)) for row in rows], indent=2) + "\n"
+    """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``."""
+    if not rows:
+        return "[]\n"
+    cells = [_encode(column, _JSON_ENCODERS) for column in zip(*rows)]
+    keys = (encode_basestring_ascii(h).replace("{", "{{").replace("}", "}}") for h in headers)
+    template = "  {{\n" + ",\n".join(f"    {key}: {{}}" for key in keys) + "\n  }}"
+    return "[\n" + ",\n".join(map(template.format, *cells)) + "\n]\n"
 
 
 def _render(output: str, headers: Sequence[str], rows: Sequence[Sequence], figures: int) -> str:
@@ -154,6 +185,13 @@ def _render(output: str, headers: Sequence[str], rows: Sequence[Sequence], figur
 
 def _entity_headers(mask_x3: bool) -> list[str]:
     return [f for f in Scores._fields if not (mask_x3 and f == "X3")]
+
+
+def _entity_rows(scores: Sequence[Scores], headers: Sequence[str]) -> Sequence[tuple]:
+    """Each entity's cells under headers; a ``Scores`` already is its full row."""
+    if len(headers) == len(Scores._fields):
+        return scores
+    return list(map(attrgetter(*headers), scores))
 
 
 class _Command(click.Command):
@@ -198,8 +236,7 @@ def compute(input_, format_, output, group, mask_x3, precision) -> None:
     records = _select_group(_load_dataset(input_, format_), group)
     scores = _score_records(records, warn=True)
     headers = _entity_headers(mask_x3)
-    row = attrgetter(*headers)
-    click.echo(_render(output, headers, [row(s) for s in scores], precision), nl=False)
+    click.echo(_render(output, headers, _entity_rows(scores, headers), precision), nl=False)
 
 
 @main.command(cls=_Command)
@@ -219,8 +256,7 @@ def rank(input_, format_, output, group, key, positive_only, mask_x3, precision)
     if positive_only:
         ranked = [s for s in ranked if s.sign == "positive"]
     headers = _entity_headers(mask_x3)
-    row = attrgetter(*headers)
-    rows = [(i, *row(s)) for i, s in enumerate(ranked, start=1)]
+    rows = [(i, *s) for i, s in enumerate(_entity_rows(ranked, headers), start=1)]
     click.echo(_render(output, ["rank"] + headers, rows, precision), nl=False)
 
 

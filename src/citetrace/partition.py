@@ -33,7 +33,7 @@ def _require_count(value: int, label: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRecord:
     """The five independent numbers that determine the whole decomposition.
 

@@ -1,12 +1,15 @@
 """Test-side oracles: the class-share weights, the weighted I3 sum, the
 trace written directly from class counts, midranks as a plain loop, the
-correctly rounded Pearson coefficient from rational arithmetic, and the
-t-test p-value by quadrature.
+correctly rounded Pearson coefficient from rational arithmetic, the
+t-test p-value by quadrature, and the report renderers cell by cell.
 
 They restate the library's results in another form, so the tests can
 check the library against them rather than against itself.
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -109,3 +112,56 @@ def t_pvalue_quad(r: float, n: int) -> float:
                 * (1 + x * x / df) ** (-(df + 1) / 2))
 
     return float(2 * mpmath.quad(density, [abs(t), mpmath.inf]))
+
+
+# The report renderers as they were before the CLI encoded whole columns:
+# every cell through one isinstance chain, JSON through ``json.dumps``.
+# ``format_sig`` raises OverflowError where the rounded value passes the
+# float maximum.
+
+def format_sig(value: float, figures: int) -> str:
+    """Fixed-notation rounding to significant figures (tables only)."""
+    if value == 0 or not math.isfinite(value):
+        return str(value)
+    digits = figures - 1 - math.floor(math.log10(abs(value)))
+    rounded = round(value, digits)
+    if digits <= 0:
+        return f"{rounded:.0f}"
+    return f"{rounded:.{digits}f}"
+
+
+def cell(value, figures: int | None) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if figures is None:
+        return repr(float(value))
+    return format_sig(value, figures)
+
+
+def write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int) -> str:
+    cells = [[cell(v, figures) for v in row] for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
+              for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) if i == 0 else h.rjust(w)
+                       for i, (h, w) in enumerate(zip(headers, widths)))]
+    for row in cells:
+        lines.append("  ".join(v.ljust(w) if i == 0 else v.rjust(w)
+                               for i, (v, w) in enumerate(zip(row, widths))))
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([cell(v, None) for v in row])
+    return out.getvalue()
+
+
+def write_json(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    return json.dumps([dict(zip(headers, row)) for row in rows], indent=2) + "\n"

@@ -114,6 +114,21 @@ def test_csv_output_matches_snapshot(runner, snapshot):
     assert result.stdout_bytes == (DATA / snapshot).read_bytes()
 
 
+# The other two report formats, frozen the same way.
+OUTPUT_SNAPSHOTS = {
+    "compute_corpus.json": ["compute", "--input", "corpus", "--output", "json"],
+    "rank_lis.txt": ["rank", "--input", "corpus", "--group", "LIS"],
+    "correlate_corpus.json": ["correlate", "--input", "corpus", "--output", "json"],
+}
+
+
+@pytest.mark.parametrize("snapshot", sorted(OUTPUT_SNAPSHOTS))
+def test_json_and_table_output_match_snapshot(runner, snapshot):
+    result = invoke(runner, OUTPUT_SNAPSHOTS[snapshot])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / snapshot).read_bytes()
+
+
 class TestRank:
     def test_lis_group_by_trace_matches_golden_order(self, runner):
         result = invoke(runner, ["rank", "--input", "corpus", "--group", "LIS",
@@ -429,3 +444,17 @@ class TestTableOutput:
         lines = result.stdout.splitlines()
         assert lines[0].split()[:2] == ["rank", "name"]
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("args, y2", [
+        (["compute"], "1798" + "0" * 305),
+        (["rank", "--key", "Y2", "--precision", "1"], "2" + "0" * 308),
+    ], ids=["compute", "rank"])
+    def test_value_rounding_past_float_maximum(self, tmp_path, args, y2):
+        # Y2 = Ct^2/C is the largest float; rounded to few figures it passes the float maximum
+        path = tmp_path / "big.csv"
+        path.write_text(f"name,P,h,Pz,C,Ch\nbig,1,1,0,{int(sys.float_info.max)},1\n")
+        proc = _run_cli([*args[:1], "--input", str(path), *args[1:]])
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr
+        header, row = proc.stdout.decode().splitlines()
+        assert dict(zip(header.split(), row.split()))["Y2"] == y2

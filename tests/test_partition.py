@@ -1,5 +1,7 @@
 """Core decomposition: h-index, summary records and their derived masses, validation, plausibility."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,13 @@ class TestSummaryValidation:
     def test_empty_name(self):
         with pytest.raises(ValidationError):
             SummaryRecord("", papers=1, h=0, uncited=1, citations=0, core_citations=0)
+
+    def test_slotted_record_still_checked_on_replace(self):
+        rec = SummaryRecord("X", papers=10, h=4, uncited=0, citations=20, core_citations=16)
+        assert not hasattr(rec, "__dict__")
+        assert replace(rec, uncited=6) == SummaryRecord("X", 10, 4, 6, 20, 16)
+        with pytest.raises(ValidationError, match="Pz > P - h"):
+            replace(rec, uncited=7)
 
 
 class TestCitationListValidation:
