@@ -13,11 +13,11 @@ import csv
 import io
 import math
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import click
 
@@ -127,26 +127,50 @@ def _encode(column: Sequence, encoders: dict) -> list[str]:
     return [encoders[type(v)]((v,))[0] for v in column]
 
 
-def _write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int) -> str:
+_BLOCK_ROWS = 1024  # report rows encoded and written per chunk
+
+
+def _blocks(rows: Sequence, project: Callable | None = None) -> Iterator[Sequence]:
+    """rows in slices of ``_BLOCK_ROWS``; ``project(block, start)`` turns each
+    slice into its report rows, so a projection never exists for every row at once."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        yield block if project is None else project(block, start)
+
+
+def _write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int,
+                 project: Callable | None = None) -> Iterator[str]:
+    """The table's text in chunks: every column is formatted first, since the
+    widths depend on every cell; then the lines are laid out a block at a time."""
     encoders = {
         str: list,
         int: lambda column: list(map(str, column)),
         float: lambda column: list(map(_format_sig, column, repeat(figures))),
         type(None): lambda column: [""] * len(column),
     }
-    cells = [_encode(column, encoders) for column in zip(*rows)] or [[]] * len(headers)
+    cells: list[list[str]] = [[] for _ in headers]
+    for block in _blocks(rows, project):
+        for texts, column in zip(cells, zip(*block)):
+            texts += _encode(column, encoders)
     widths = [max(len(h), max(map(len, column), default=0)) for h, column in zip(headers, cells)]
     template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
-    lines = [template.format(*headers), *map(template.format, *cells)]
-    return "\n".join(map(str.rstrip, lines)) + "\n"
+    yield template.format(*headers).rstrip() + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        lines = map(template.format, *(column[start:start + _BLOCK_ROWS] for column in cells))
+        yield "\n".join(map(str.rstrip, lines)) + "\n"
 
 
-def _write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+def _write_csv(headers: Sequence[str], rows: Sequence[Sequence],
+               project: Callable | None = None) -> Iterator[str]:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
-    writer.writerows(rows)  # None as "", floats by repr
-    return out.getvalue()
+    yield out.getvalue()
+    for block in _blocks(rows, project):
+        out.seek(0)
+        out.truncate()
+        writer.writerows(block)  # None as "", floats by repr
+        yield out.getvalue()
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -165,33 +189,60 @@ _JSON_ENCODERS = {
 }
 
 
-def _write_json(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``."""
+def _write_json(headers: Sequence[str], rows: Sequence[Sequence],
+                project: Callable | None = None) -> Iterator[str]:
+    """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``, in chunks."""
     if not rows:
-        return "[]\n"
-    cells = [_encode(column, _JSON_ENCODERS) for column in zip(*rows)]
+        yield "[]\n"
+        return
     keys = (encode_basestring_ascii(h).replace("{", "{{").replace("}", "}}") for h in headers)
     template = "  {{\n" + ",\n".join(f"    {key}: {{}}" for key in keys) + "\n  }}"
-    return "[\n" + ",\n".join(map(template.format, *cells)) + "\n]\n"
+    separator = "[\n"
+    for block in _blocks(rows, project):
+        cells = [_encode(column, _JSON_ENCODERS) for column in zip(*block)]
+        yield separator + ",\n".join(map(template.format, *cells))
+        separator = ",\n"
+    yield "\n]\n"
 
 
-def _render(output: str, headers: Sequence[str], rows: Sequence[Sequence], figures: int) -> str:
+def _echo(chunks: Iterable[str]) -> None:
+    """Write a report to stdout chunk by chunk.  Every chunk ends at a row
+    boundary, so click's stripping of ANSI sequences on a non-tty stdout
+    gives the bytes it would give for the whole report in one echo."""
+    for chunk in chunks:
+        click.echo(chunk, nl=False)
+
+
+def _echo_report(output: str, headers: Sequence[str], rows: Sequence[Sequence], figures: int,
+                 project: Callable | None = None) -> None:
+    """Write a report of every row, block by block; callers pass rows that are
+    already validated and scored, so an error never leaves partial output."""
     if output == "table":
-        return _write_table(headers, rows, figures)
-    if output == "csv":
-        return _write_csv(headers, rows)
-    return _write_json(headers, rows)
+        _echo(_write_table(headers, rows, figures, project))
+    elif output == "csv":
+        _echo(_write_csv(headers, rows, project))
+    else:
+        _echo(_write_json(headers, rows, project))
 
 
 def _entity_headers(mask_x3: bool) -> list[str]:
     return [f for f in Scores._fields if not (mask_x3 and f == "X3")]
 
 
-def _entity_rows(scores: Sequence[Scores], headers: Sequence[str]) -> Sequence[tuple]:
-    """Each entity's cells under headers; a ``Scores`` already is its full row."""
+def _entity_rows(headers: Sequence[str]) -> Callable:
+    """The projection of a block of ``Scores`` onto its cells under headers;
+    a ``Scores`` already is its full row."""
     if len(headers) == len(Scores._fields):
-        return scores
-    return list(map(attrgetter(*headers), scores))
+        return lambda block, start: block
+    cells = attrgetter(*headers)
+    return lambda block, start: list(map(cells, block))
+
+
+def _ranked_rows(headers: Sequence[str]) -> Callable:
+    """As ``_entity_rows``, each row led by its 1-based position in the ranking."""
+    entity_rows = _entity_rows(headers)
+    return lambda block, start: [(i, *row) for i, row in
+                                 enumerate(entity_rows(block, start), start + 1)]
 
 
 class _Command(click.Command):
@@ -233,10 +284,9 @@ _precision_option = click.option("--precision", type=click.IntRange(1, 17), defa
 @_precision_option
 def compute(input_, format_, output, group, mask_x3, precision) -> None:
     """Per-entity matrix entries, trace, h, I3X, I3Y and the sign flag."""
-    records = _select_group(_load_dataset(input_, format_), group)
-    scores = _score_records(records, warn=True)
+    scores = _score_records(_select_group(_load_dataset(input_, format_), group), warn=True)
     headers = _entity_headers(mask_x3)
-    click.echo(_render(output, headers, _entity_rows(scores, headers), precision), nl=False)
+    _echo_report(output, headers, scores, precision, _entity_rows(headers))
 
 
 @main.command(cls=_Command)
@@ -251,13 +301,12 @@ def compute(input_, format_, output, group, mask_x3, precision) -> None:
 @_precision_option
 def rank(input_, format_, output, group, key, positive_only, mask_x3, precision) -> None:
     """Rank entities by an indicator; ties break by name."""
-    records = _select_group(_load_dataset(input_, format_), group)
-    ranked = rank_entities(_score_records(records), key=key)
+    ranked = rank_entities(_score_records(_select_group(_load_dataset(input_, format_), group)),
+                           key=key)
     if positive_only:
         ranked = [s for s in ranked if s.sign == "positive"]
     headers = _entity_headers(mask_x3)
-    rows = [(i, *s) for i, s in enumerate(_entity_rows(ranked, headers), start=1)]
-    click.echo(_render(output, ["rank"] + headers, rows, precision), nl=False)
+    _echo_report(output, ["rank"] + headers, ranked, precision, _ranked_rows(headers))
 
 
 def _join_metrics(scores: list[Scores], metrics: MetricTable | None):
@@ -319,19 +368,22 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     rows = [[p.a, p.b, p.n, p.pearson_r, p.pearson_p, p.pearson_stars,
              p.spearman_rho, p.spearman_p, p.spearman_stars]
             for p in report.pairs]
-    click.echo(_render(output, headers, rows, precision), nl=False)
+    _echo_report(output, headers, rows, precision)
+
+
+def _golden_lines(cells: Sequence) -> str:
+    return "".join(f"{'PASS' if cell.passed else 'FAIL'} {cell.table:<12} {cell.entity:<22} "
+                   f"{cell.cell:<3} computed={cell.computed!r} displayed={cell.displayed}\n"
+                   for cell in cells)
 
 
 @main.command("validate-reference", cls=_Command)
 def validate_reference() -> None:
     """Recompute the bundled corpus and check every golden cell."""
     report = validate_corpus()
-    for cell in report.cells:
-        status = "PASS" if cell.passed else "FAIL"
-        click.echo(f"{status} {cell.table:<12} {cell.entity:<22} {cell.cell:<3} "
-                   f"computed={cell.computed!r} displayed={cell.displayed}")
     passed = sum(1 for cell in report.cells if cell.passed)
-    click.echo(f"{passed}/{len(report.cells)} golden cells within displayed precision")
+    summary = f"{passed}/{len(report.cells)} golden cells within displayed precision\n"
+    _echo(chain(map(_golden_lines, _blocks(report.cells)), [summary]))
     if not report.ok:
         sys.exit(1)
 
@@ -352,7 +404,7 @@ def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     metric = metrics.metrics[0]
     rows = [(s.name, s.T, value) for s, value in zip(joined, metric_columns[metric])
             if not positive_only or s.sign == "positive"]
-    click.echo(_write_csv(["name", "T", metric], rows), nl=False)
+    _echo(_write_csv(["name", "T", metric], rows))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,25 @@
 """The CLI's column-wise report renderers against the cell-by-cell oracle in
-``tests/oracles.py``: byte-identical text for every output format."""
+``tests/oracles.py``: byte-identical text for every output format, whatever
+the number of rows per written block."""
 
+import collections
 import math
 import random
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import click
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citetrace.cli import _format_sig, _write_csv, _write_json, _write_table
+from citetrace import SummaryRecord, rank_entities, score
+from citetrace import cli
+from citetrace.cli import _format_sig, _write_csv, _write_json, _write_table, main
 
 from oracles import format_sig, write_csv, write_json, write_table
 
@@ -36,24 +44,100 @@ def reports(draw):
     return headers, rows
 
 
+def render(writer, *args, **kwargs) -> str:
+    """A report's whole text from its chunks."""
+    return "".join(writer(*args, **kwargs))
+
+
 @settings(max_examples=400, deadline=None)
-@given(report=reports(), figures=st.integers(min_value=1, max_value=17))
-def test_renderers_match_the_cell_by_cell_oracle(report, figures):
+@given(report=reports(), figures=st.integers(min_value=1, max_value=17),
+       block_rows=st.sampled_from([1, 2, 3, 1024]))
+def test_renderers_match_the_cell_by_cell_oracle(report, figures, block_rows):
     headers, rows = report
-    assert _write_csv(headers, rows) == write_csv(headers, rows)
-    assert _write_json(headers, rows) == write_json(headers, rows)
-    try:
-        expected = write_table(headers, rows, figures)
-    except OverflowError:  # the oracle cannot round past the float maximum
-        return
-    assert _write_table(headers, rows, figures) == expected
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        assert render(_write_csv, headers, rows) == write_csv(headers, rows)
+        assert render(_write_json, headers, rows) == write_json(headers, rows)
+        try:
+            expected = write_table(headers, rows, figures)
+        except OverflowError:  # the oracle cannot round past the float maximum
+            return
+        assert render(_write_table, headers, rows, figures) == expected
 
 
 def test_empty_reports():
     for headers in (["name"], ["rank", "name", "T"]):
-        assert _write_json(headers, []) == write_json(headers, []) == "[]\n"
-        assert _write_table(headers, [], 4) == write_table(headers, [], 4)
-        assert _write_csv(headers, []) == write_csv(headers, [])
+        assert render(_write_json, headers, []) == write_json(headers, []) == "[]\n"
+        assert render(_write_table, headers, [], 4) == write_table(headers, [], 4)
+        assert render(_write_csv, headers, []) == write_csv(headers, [])
+
+
+def _entity(i: int) -> SummaryRecord:
+    """A valid summary record that varies with i; every other name carries
+    an ANSI colour sequence, which click strips from a non-tty stdout."""
+    h = 1 + i % 9
+    papers = h + 5 + i % 37
+    ch = h * h + i * 7 % 23
+    name = f"j{i:04d}" if i % 2 else f"\x1b[31mj{i:04d}\x1b[0m"
+    return SummaryRecord(name, papers, h, i % 3, ch + (papers - h) * (i % 4) + 2, ch)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_block_edges_match_the_oracle(monkeypatch, block_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    scores = [score(_entity(i)) for i in range(11)]
+    headers = list(scores[0]._fields)
+    assert render(_write_csv, headers, scores) == write_csv(headers, scores)
+    assert render(_write_json, headers, scores) == write_json(headers, scores)
+    assert render(_write_table, headers, scores, 4) == write_table(headers, scores, 4)
+    ranked = [(i, *s) for i, s in enumerate(scores, start=1)]
+    project = cli._ranked_rows(headers)
+    assert render(_write_csv, ["rank", *headers], scores, project) == write_csv(
+        ["rank", *headers], ranked)
+    assert render(_write_json, ["rank", *headers], scores, project) == write_json(
+        ["rank", *headers], ranked)
+    assert render(_write_table, ["rank", *headers], scores, 3, project) == write_table(
+        ["rank", *headers], ranked, 3)
+
+
+@pytest.mark.parametrize("output", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", ["compute", "rank"])
+@pytest.mark.parametrize("mask_x3", [False, True])
+def test_multi_block_reports_equal_one_shot_rendering(tmp_path, command, output, mask_x3):
+    records = [_entity(i) for i in range(2500)]  # three blocks of rows
+    path = tmp_path / "entities.csv"
+    path.write_text("name,P,h,Pz,C,Ch\n" + "".join(
+        f"{r.name},{r.papers},{r.h},{r.uncited},{r.citations},{r.core_citations}\n"
+        for r in records))
+    args = [command, "--input", str(path), "--output", output]
+    result = CliRunner().invoke(main, args + ["--mask-x3"] * mask_x3, catch_exceptions=False)
+    assert result.exit_code == 0
+    scores = [score(r) for r in records]
+    if command == "rank":
+        scores = rank_entities(scores)
+    headers = [f for f in scores[0]._fields if not (mask_x3 and f == "X3")]
+    rows = [tuple(getattr(s, f) for f in headers) for s in scores]
+    if command == "rank":
+        headers = ["rank", *headers]
+        rows = [(i, *row) for i, row in enumerate(rows, start=1)]
+    one_shot = {"table": lambda: write_table(headers, rows, 4),
+                "csv": lambda: write_csv(headers, rows),
+                "json": lambda: write_json(headers, rows)}[output]()
+    assert result.stdout == click.unstyle(one_shot)
+    assert "\x1b" not in result.stdout
+
+
+def test_draining_a_report_holds_a_few_blocks_at_most():
+    scores = [score(_entity(i)) for i in range(20_000)]
+    headers = list(scores[0]._fields)
+    tracemalloc.start()
+    try:
+        for writer in (_write_json, _write_csv):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            collections.deque(writer(headers, scores), maxlen=0)
+            assert tracemalloc.get_traced_memory()[1] - before < 3_000_000, writer.__name__
+    finally:
+        tracemalloc.stop()
 
 
 def _sweep_values():
