@@ -119,11 +119,13 @@ def _format_sig(value: float, figures: int) -> str:
         return str(rounded)
 
 
-def _encode(column: Sequence, encoders: dict) -> list[str]:
-    """Each cell's text: one encoder call per column when the column holds one type."""
-    kinds = set(map(type, column))
+def _encode(column: Sequence, encoders: dict, kinds: set | None = None) -> list[str]:
+    """Each cell's text: one encoder call per column when the column holds one
+    type; ``kinds`` is the set of its cells' types, if the caller has it."""
+    if kinds is None:
+        kinds = set(map(type, column))
     if len(kinds) == 1:
-        return encoders[kinds.pop()](column)
+        return encoders[next(iter(kinds))](column)
     return [encoders[type(v)]((v,))[0] for v in column]
 
 
@@ -140,24 +142,33 @@ def _blocks(rows: Sequence, project: Callable | None = None) -> Iterator[Sequenc
 
 def _write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int,
                  project: Callable | None = None) -> Iterator[str]:
-    """The table's text in chunks: every column is formatted first, since the
-    widths depend on every cell; then the lines are laid out a block at a time."""
+    """The table's text in chunks: every block's columns are formatted first,
+    since the widths depend on every cell; then the lines are laid out a
+    block at a time.  Until its layout a block keeps a column that holds
+    strings as the list of the rows' own strings, and any other column as
+    its texts joined by newlines, which no number's or ``None``'s text holds."""
     encoders = {
         str: list,
         int: lambda column: list(map(str, column)),
         float: lambda column: list(map(_format_sig, column, repeat(figures))),
         type(None): lambda column: [""] * len(column),
     }
-    cells: list[list[str]] = [[] for _ in headers]
+    widths = list(map(len, headers))
+    blocks: list[list] = []
     for block in _blocks(rows, project):
-        for texts, column in zip(cells, zip(*block)):
-            texts += _encode(column, encoders)
-    widths = [max(len(h), max(map(len, column), default=0)) for h, column in zip(headers, cells)]
+        stored = []
+        for i, column in enumerate(zip(*block)):
+            kinds = set(map(type, column))
+            texts = _encode(column, encoders, kinds)
+            widths[i] = max(widths[i], max(map(len, texts)))
+            stored.append(texts if str in kinds else "\n".join(texts))
+        blocks.append(stored)
     template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
     yield template.format(*headers).rstrip() + "\n"
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        lines = map(template.format, *(column[start:start + _BLOCK_ROWS] for column in cells))
-        yield "\n".join(map(str.rstrip, lines)) + "\n"
+    blocks.reverse()
+    while blocks:  # each block's text is freed once its lines are written
+        columns = (c.split("\n") if isinstance(c, str) else c for c in blocks.pop())
+        yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
 def _write_csv(headers: Sequence[str], rows: Sequence[Sequence],

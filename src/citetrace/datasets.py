@@ -101,26 +101,37 @@ def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], reco
     return DatasetFile(format=f"{kind}-csv", records=tuple(records), source=source, window=window)
 
 
+# Each cell converts as it stands in one map(int) call.  int() strips the
+# whitespace str.strip() does except "\x1c" to "\x1f", so a cell padded with
+# those, or a bad cell, takes the per-cell loop, which names the first bad cell.
+
 def _summary_row(name: str, cells: list[str]) -> SummaryRecord:
-    values = []
-    for cell, label in zip(cells, SUMMARY_HEADER[1:]):
-        try:
-            values.append(int(cell.strip()))
-        except ValueError:
-            raise ParseError(f"{label} is not an integer: {cell!r}") from None
+    try:
+        values = list(map(int, cells))
+    except ValueError:
+        values = []
+        for cell, label in zip(cells, SUMMARY_HEADER[1:]):
+            try:
+                values.append(int(cell.strip()))
+            except ValueError:
+                raise ParseError(f"{label} is not an integer: {cell!r}") from None
     return SummaryRecord(name, *values)  # P, h, Pz, C, Ch in field order
 
 
 def _parse_counts(cell: str) -> list[int]:
     if not cell.strip():
         raise ParseError("empty citation list")
-    counts = []
-    for token in cell.split(";"):
-        try:
-            counts.append(int(token.strip()))
-        except ValueError:
-            raise ParseError(f"malformed citation count {token!r}") from None
-    return counts
+    tokens = cell.split(";")
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        counts = []
+        for token in tokens:
+            try:
+                counts.append(int(token.strip()))
+            except ValueError:
+                raise ParseError(f"malformed citation count {token!r}") from None
+        return counts
 
 
 def parse_summary_csv(data: Union[bytes, str], source: str | None = None,

@@ -206,6 +206,35 @@ class TestOneRecordType:
                            match="^item 0: A: citation count must be >= 0, got -4$"):
             parse_json(json.dumps([{"name": "A", "citations": "1;-4;-5"}]))
 
+    @pytest.mark.parametrize("parse, data, message", [
+        (parse_summary_csv, "name,P,h,Pz,C,Ch\nA, x1 ,1,0,1,1\n",
+         "row 2: P is not an integer: ' x1 '"),
+        (parse_summary_csv, "name,P,h,Pz,C,Ch\nA,3,1, 1.0 ,z,1\n",
+         "row 2: Pz is not an integer: ' 1.0 '"),
+        (parse_summary_csv, "name,P,h,Pz,C,Ch\nA,3,1,0,2, \t\n",
+         "row 2: Ch is not an integer: ' \\t'"),
+        (parse_citations_csv, "name,citations\nA, a ;2;1\n",
+         "row 2: malformed citation count ' a '"),
+        (parse_citations_csv, "name,citations\nA,5;2 ;-;x\n",
+         "row 2: malformed citation count '-'"),
+        (parse_citations_csv, "name,citations\nA,5;2;1;\n",
+         "row 2: malformed citation count ''"),
+        (parse_json, json.dumps([{"name": "A", "citations": "5; 2;x "}]),
+         "item 0: malformed citation count 'x '"),
+    ], ids=["summary-first", "summary-middle", "summary-last", "citations-first",
+            "citations-middle", "citations-last", "json-string-last"])
+    def test_bad_cell_in_any_position_names_the_first_unstripped(self, parse, data, message):
+        with pytest.raises(ParseError) as err:
+            parse(data)
+        assert str(err.value) == message
+
+    def test_cells_padded_with_any_strip_whitespace_parse(self):
+        # int() alone does not strip "\x1c" to "\x1f"; str.strip() does
+        summary = parse_summary_csv("name,P,h,Pz,C,Ch\nA,\x1c3\x1f, 1 ,0,2,1\n")
+        assert summary.records == (SummaryRecord("A", 3, 1, 0, 2, 1),)
+        citations = parse_citations_csv("name,citations\nA,5;2;\x1d1\x1e\n")
+        assert citations.records == (summarize([5, 2, 1], "A"),)
+
 
 class TestParseMetricCsv:
     def test_multiple_metric_columns(self):

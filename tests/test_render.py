@@ -126,16 +126,26 @@ def test_multi_block_reports_equal_one_shot_rendering(tmp_path, command, output,
     assert "\x1b" not in result.stdout
 
 
+def _drain_peak(chunks) -> int:
+    """The traced peak in bytes above the start while a report's chunks are drained."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    collections.deque(chunks, maxlen=0)
+    return tracemalloc.get_traced_memory()[1] - before
+
+
 def test_draining_a_report_holds_a_few_blocks_at_most():
     scores = [score(_entity(i)) for i in range(20_000)]
     headers = list(scores[0]._fields)
     tracemalloc.start()
     try:
         for writer in (_write_json, _write_csv):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            collections.deque(writer(headers, scores), maxlen=0)
-            assert tracemalloc.get_traced_memory()[1] - before < 3_000_000, writer.__name__
+            assert _drain_peak(writer(headers, scores)) < 3_000_000, writer.__name__
+        # a table keeps every block until the widths are known: its numbers
+        # as one string per column and block, about 150 B a row
+        assert _drain_peak(_write_table(headers, scores, 4)) < 6_000_000
+        ranked = _write_table(["rank", *headers], scores, 4, cli._ranked_rows(headers))
+        assert _drain_peak(ranked) < 6_000_000
     finally:
         tracemalloc.stop()
 
@@ -174,6 +184,21 @@ def test_format_sig_sweep_matches_oracle():
                 expected = str(round(Fraction(value) / scale) * scale)
             assert _format_sig(value, figures) == expected, (value, figures)
     assert overflows > 0
+
+
+def test_table_number_texts_hold_no_newline():
+    """_write_table keeps each block's int, float and None columns joined by
+    newlines until layout, which is lossless only while no such text holds one."""
+    values = _sweep_values()
+    for figures in range(1, 18):
+        assert not any("\n" in _format_sig(value, figures) for value in values), figures
+    ints = [10 ** 300, -10 ** 300, 10 ** 300 - 1, 1 - 10 ** 300, 0, -1, 1]
+    rows = [(value, ints[i % len(ints)], None) for i, value in enumerate(values)]
+    for figures in (1, 4, 17):
+        lines = render(_write_table, ["float", "int", "none"], rows, figures).split("\n")
+        assert len(lines) == len(rows) + 2 and lines[-1] == ""
+        assert [line.split() for line in lines[1:-1]] == [
+            [_format_sig(value, figures), str(n)] for value, n, _ in rows]
 
 
 @pytest.mark.parametrize("value, figures, text", [
