@@ -114,11 +114,21 @@ def test_csv_output_matches_snapshot(runner, snapshot):
     assert result.stdout_bytes == (DATA / snapshot).read_bytes()
 
 
-# The other two report formats, frozen the same way.
+# The other two report formats, the rank column under --mask-x3, a table of
+# very small p-values, plot-data, and a correlate at n = 2 (no p-values),
+# frozen the same way.
 OUTPUT_SNAPSHOTS = {
     "compute_corpus.json": ["compute", "--input", "corpus", "--output", "json"],
     "rank_lis.txt": ["rank", "--input", "corpus", "--group", "LIS"],
     "correlate_corpus.json": ["correlate", "--input", "corpus", "--output", "json"],
+    "rank_units_mask_x3.txt": ["rank", "--input", "corpus:units", "--mask-x3"],
+    "rank_lis_mask_x3.json": ["rank", "--input", "corpus", "--group", "LIS", "--mask-x3",
+                              "--output", "json"],
+    "correlate_corpus.txt": ["correlate", "--input", "corpus"],
+    "plot_data_corpus.csv": ["plot-data", "--input", "corpus",
+                             "--metric-file", str(DATA / "metrics_small.csv")],
+    "correlate_pair.csv": ["correlate", "--input", "corpus", "--group", "multidisciplinary",
+                           "--metric-file", str(DATA / "metrics_small.csv"), "--output", "csv"],
 }
 
 
