@@ -13,11 +13,10 @@ import csv
 import io
 import math
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import click
 
@@ -119,34 +118,32 @@ def _format_sig(value: float, figures: int) -> str:
         return str(rounded)
 
 
-def _encode(column: Sequence, encoders: dict, kinds: set | None = None) -> list[str]:
-    """Each cell's text: one encoder call per column when the column holds one
-    type; ``kinds`` is the set of its cells' types, if the caller has it."""
-    if kinds is None:
-        kinds = set(map(type, column))
-    if len(kinds) == 1:
-        return encoders[next(iter(kinds))](column)
-    return [encoders[type(v)]((v,))[0] for v in column]
-
-
 _BLOCK_ROWS = 1024  # report rows encoded and written per chunk
 
 
-def _blocks(rows: Sequence, project: Callable | None = None) -> Iterator[Sequence]:
-    """rows in slices of ``_BLOCK_ROWS``; ``project(block, start)`` turns each
-    slice into its report rows, so a projection never exists for every row at once."""
+def _blocks(rows: Sequence[Sequence], keep: Sequence[int] | None = None,
+            ranked: bool = False) -> Iterator[list[Sequence]]:
+    """rows in slices of ``_BLOCK_ROWS``, each as its list of report columns:
+    only the columns at ``keep``, if given, led by the rows' 1-based positions
+    when ``ranked``.  Every report column holds values of one type, so a
+    writer picks each column's encoder from its first value."""
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        yield block if project is None else project(block, start)
+        columns = list(zip(*block))
+        if keep is not None:
+            columns = [columns[i] for i in keep]
+        if ranked:
+            columns.insert(0, range(start + 1, start + 1 + len(block)))
+        yield columns
 
 
-def _write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int,
-                 project: Callable | None = None) -> Iterator[str]:
+def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
+                 figures: int) -> Iterator[str]:
     """The table's text in chunks: every block's columns are formatted first,
     since the widths depend on every cell; then the lines are laid out a
-    block at a time.  Until its layout a block keeps a column that holds
-    strings as the list of the rows' own strings, and any other column as
-    its texts joined by newlines, which no number's or ``None``'s text holds."""
+    block at a time.  Until its layout a block keeps a column of strings as
+    the list of the rows' own strings, and any other column as its texts
+    joined by newlines, which no number's or ``None``'s text holds."""
     encoders = {
         str: list,
         int: lambda column: list(map(str, column)),
@@ -154,33 +151,32 @@ def _write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int,
         type(None): lambda column: [""] * len(column),
     }
     widths = list(map(len, headers))
-    blocks: list[list] = []
-    for block in _blocks(rows, project):
-        stored = []
-        for i, column in enumerate(zip(*block)):
-            kinds = set(map(type, column))
-            texts = _encode(column, encoders, kinds)
-            widths[i] = max(widths[i], max(map(len, texts)))
-            stored.append(texts if str in kinds else "\n".join(texts))
-        blocks.append(stored)
+    stored: list[list] = []
+    for columns in blocks:
+        texts = []
+        for i, column in enumerate(columns):
+            kind = type(column[0])
+            cells = encoders[kind](column)
+            widths[i] = max(widths[i], max(map(len, cells)))
+            texts.append(cells if kind is str else "\n".join(cells))
+        stored.append(texts)
     template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
     yield template.format(*headers).rstrip() + "\n"
-    blocks.reverse()
-    while blocks:  # each block's text is freed once its lines are written
-        columns = (c.split("\n") if isinstance(c, str) else c for c in blocks.pop())
+    stored.reverse()
+    while stored:  # each block's text is freed once its lines are written
+        columns = (c.split("\n") if isinstance(c, str) else c for c in stored.pop())
         yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
-def _write_csv(headers: Sequence[str], rows: Sequence[Sequence],
-               project: Callable | None = None) -> Iterator[str]:
+def _write_csv(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
     yield out.getvalue()
-    for block in _blocks(rows, project):
+    for columns in blocks:
         out.seek(0)
         out.truncate()
-        writer.writerows(block)  # None as "", floats by repr
+        writer.writerows(zip(*columns))  # None as "", floats by repr
         yield out.getvalue()
 
 
@@ -200,20 +196,16 @@ _JSON_ENCODERS = {
 }
 
 
-def _write_json(headers: Sequence[str], rows: Sequence[Sequence],
-                project: Callable | None = None) -> Iterator[str]:
+def _write_json(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
     """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``, in chunks."""
-    if not rows:
-        yield "[]\n"
-        return
     keys = (encode_basestring_ascii(h).replace("{", "{{").replace("}", "}}") for h in headers)
     template = "  {{\n" + ",\n".join(f"    {key}: {{}}" for key in keys) + "\n  }}"
     separator = "[\n"
-    for block in _blocks(rows, project):
-        cells = [_encode(column, _JSON_ENCODERS) for column in zip(*block)]
+    for columns in blocks:
+        cells = [_JSON_ENCODERS[type(column[0])](column) for column in columns]
         yield separator + ",\n".join(map(template.format, *cells))
         separator = ",\n"
-    yield "\n]\n"
+    yield "[]\n" if separator == "[\n" else "\n]\n"
 
 
 def _echo(chunks: Iterable[str]) -> None:
@@ -224,36 +216,20 @@ def _echo(chunks: Iterable[str]) -> None:
         click.echo(chunk, nl=False)
 
 
-def _echo_report(output: str, headers: Sequence[str], rows: Sequence[Sequence], figures: int,
-                 project: Callable | None = None) -> None:
-    """Write a report of every row, block by block; callers pass rows that are
+def _echo_report(output: str, headers: Sequence[str], blocks: Iterable[list[Sequence]],
+                 figures: int) -> None:
+    """Write a report block by block; callers pass blocks of rows that are
     already validated and scored, so an error never leaves partial output."""
     if output == "table":
-        _echo(_write_table(headers, rows, figures, project))
+        _echo(_write_table(headers, blocks, figures))
     elif output == "csv":
-        _echo(_write_csv(headers, rows, project))
+        _echo(_write_csv(headers, blocks))
     else:
-        _echo(_write_json(headers, rows, project))
+        _echo(_write_json(headers, blocks))
 
 
-def _entity_headers(mask_x3: bool) -> list[str]:
-    return [f for f in Scores._fields if not (mask_x3 and f == "X3")]
-
-
-def _entity_rows(headers: Sequence[str]) -> Callable:
-    """The projection of a block of ``Scores`` onto its cells under headers;
-    a ``Scores`` already is its full row."""
-    if len(headers) == len(Scores._fields):
-        return lambda block, start: block
-    cells = attrgetter(*headers)
-    return lambda block, start: list(map(cells, block))
-
-
-def _ranked_rows(headers: Sequence[str]) -> Callable:
-    """As ``_entity_rows``, each row led by its 1-based position in the ranking."""
-    entity_rows = _entity_rows(headers)
-    return lambda block, start: [(i, *row) for i, row in
-                                 enumerate(entity_rows(block, start), start + 1)]
+# The report columns of Scores under --mask-x3: every field but X3.
+_MASKED = [i for i, field in enumerate(Scores._fields) if field != "X3"]
 
 
 class _Command(click.Command):
@@ -296,8 +272,8 @@ _precision_option = click.option("--precision", type=click.IntRange(1, 17), defa
 def compute(input_, format_, output, group, mask_x3, precision) -> None:
     """Per-entity matrix entries, trace, h, I3X, I3Y and the sign flag."""
     scores = _score_records(_select_group(_load_dataset(input_, format_), group), warn=True)
-    headers = _entity_headers(mask_x3)
-    _echo_report(output, headers, scores, precision, _entity_rows(headers))
+    keep = _MASKED if mask_x3 else range(len(Scores._fields))
+    _echo_report(output, [Scores._fields[i] for i in keep], _blocks(scores, keep), precision)
 
 
 @main.command(cls=_Command)
@@ -316,8 +292,9 @@ def rank(input_, format_, output, group, key, positive_only, mask_x3, precision)
                            key=key)
     if positive_only:
         ranked = [s for s in ranked if s.sign == "positive"]
-    headers = _entity_headers(mask_x3)
-    _echo_report(output, ["rank"] + headers, ranked, precision, _ranked_rows(headers))
+    keep = _MASKED if mask_x3 else range(len(Scores._fields))
+    _echo_report(output, ["rank", *(Scores._fields[i] for i in keep)],
+                 _blocks(ranked, keep, ranked=True), precision)
 
 
 def _join_metrics(scores: list[Scores], metrics: MetricTable | None):
@@ -379,7 +356,7 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     rows = [[p.a, p.b, p.n, p.pearson_r, p.pearson_p, p.pearson_stars,
              p.spearman_rho, p.spearman_p, p.spearman_stars]
             for p in report.pairs]
-    _echo_report(output, headers, rows, precision)
+    _echo_report(output, headers, _blocks(rows), precision)
 
 
 def _golden_lines(cells: Sequence) -> str:
@@ -394,7 +371,7 @@ def validate_reference() -> None:
     report = validate_corpus()
     passed = sum(1 for cell in report.cells if cell.passed)
     summary = f"{passed}/{len(report.cells)} golden cells within displayed precision\n"
-    _echo(chain(map(_golden_lines, _blocks(report.cells)), [summary]))
+    _echo([_golden_lines(report.cells) + summary])
     if not report.ok:
         sys.exit(1)
 
@@ -415,7 +392,7 @@ def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     metric = metrics.metrics[0]
     rows = [(s.name, s.T, value) for s, value in zip(joined, metric_columns[metric])
             if not positive_only or s.sign == "positive"]
-    _echo(_write_csv(["name", "T", metric], rows))
+    _echo(_write_csv(["name", "T", metric], _blocks(rows)))
 
 
 if __name__ == "__main__":

@@ -31,8 +31,8 @@ names = st.text(alphabet=st.sampled_from(list('ab ,"\n\r{}\\é漢😀\x00')) | s
                 max_size=8)
 ints = st.integers(min_value=-10 ** 300, max_value=10 ** 300) | st.integers(-10, 10 ** 6)
 floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
-cells = {"str": names, "int": ints, "float": floats, "none": st.none(),
-         "mixed": st.one_of(names, ints, floats, st.none())}
+# every report column holds values of one type
+cells = {"str": names, "int": ints, "float": floats, "none": st.none()}
 
 
 @st.composite
@@ -44,9 +44,9 @@ def reports(draw):
     return headers, rows
 
 
-def render(writer, *args, **kwargs) -> str:
-    """A report's whole text from its chunks."""
-    return "".join(writer(*args, **kwargs))
+def render(writer, headers, rows, *args, keep=None, ranked=False) -> str:
+    """A report's whole text from its chunks, its rows fed as ``cli._blocks`` feeds them."""
+    return "".join(writer(headers, cli._blocks(rows, keep, ranked), *args))
 
 
 @settings(max_examples=400, deadline=None)
@@ -90,13 +90,19 @@ def test_block_edges_match_the_oracle(monkeypatch, block_rows):
     assert render(_write_json, headers, scores) == write_json(headers, scores)
     assert render(_write_table, headers, scores, 4) == write_table(headers, scores, 4)
     ranked = [(i, *s) for i, s in enumerate(scores, start=1)]
-    project = cli._ranked_rows(headers)
-    assert render(_write_csv, ["rank", *headers], scores, project) == write_csv(
+    assert render(_write_csv, ["rank", *headers], scores, ranked=True) == write_csv(
         ["rank", *headers], ranked)
-    assert render(_write_json, ["rank", *headers], scores, project) == write_json(
+    assert render(_write_json, ["rank", *headers], scores, ranked=True) == write_json(
         ["rank", *headers], ranked)
-    assert render(_write_table, ["rank", *headers], scores, 3, project) == write_table(
+    assert render(_write_table, ["rank", *headers], scores, 3, ranked=True) == write_table(
         ["rank", *headers], ranked, 3)
+    keep = [0, 1, 14, 13]  # name, h, sign, T
+    kept = ["rank", "name", "h", "sign", "T"]
+    masked = [(i, s.name, s.h, s.sign, s.T) for i, s in enumerate(scores, start=1)]
+    assert render(_write_csv, kept, scores, keep=keep, ranked=True) == write_csv(kept, masked)
+    assert render(_write_json, kept, scores, keep=keep, ranked=True) == write_json(kept, masked)
+    assert render(_write_table, kept, scores, 4, keep=keep, ranked=True) == write_table(
+        kept, masked, 4)
 
 
 @pytest.mark.parametrize("output", ["table", "csv", "json"])
@@ -140,11 +146,11 @@ def test_draining_a_report_holds_a_few_blocks_at_most():
     tracemalloc.start()
     try:
         for writer in (_write_json, _write_csv):
-            assert _drain_peak(writer(headers, scores)) < 3_000_000, writer.__name__
+            assert _drain_peak(writer(headers, cli._blocks(scores))) < 3_000_000, writer.__name__
         # a table keeps every block until the widths are known: its numbers
         # as one string per column and block, about 150 B a row
-        assert _drain_peak(_write_table(headers, scores, 4)) < 6_000_000
-        ranked = _write_table(["rank", *headers], scores, 4, cli._ranked_rows(headers))
+        assert _drain_peak(_write_table(headers, cli._blocks(scores), 4)) < 6_000_000
+        ranked = _write_table(["rank", *headers], cli._blocks(scores, ranked=True), 4)
         assert _drain_peak(ranked) < 6_000_000
     finally:
         tracemalloc.stop()
