@@ -44,13 +44,23 @@ _CORPUS_INPUTS = {
 }
 
 
+def _read(path_str: str, what: str) -> bytes:
+    """The bytes of a file named on the command line; a missing or unreadable
+    file is a usage error."""
+    path = Path(path_str)
+    try:
+        if not path.is_file():
+            raise click.UsageError(f"{what} not found: {path_str}")
+        return path.read_bytes()
+    except OSError as err:  # is_file raises on some errors too, such as a too-long name
+        raise click.UsageError(f"{what} not readable: {path_str} ({err.strerror or err})") from None
+
+
 def _load_dataset(input_: str, format_: str | None) -> DatasetFile:
     if input_ in _CORPUS_INPUTS:
         return _CORPUS_INPUTS[input_]()
+    data = _read(input_, "input file")
     path = Path(input_)
-    if not path.is_file():
-        raise click.UsageError(f"input file not found: {input_}")
-    data = path.read_bytes()
     if format_ is None:
         format_ = "json" if path.suffix.lower() == ".json" else "summary"
     if format_ == "summary":
@@ -61,10 +71,7 @@ def _load_dataset(input_: str, format_: str | None) -> DatasetFile:
 
 
 def _load_metrics(path_str: str) -> MetricTable:
-    path = Path(path_str)
-    if not path.is_file():
-        raise click.UsageError(f"metric file not found: {path_str}")
-    metrics = parse_metric_csv(path.read_bytes(), source=str(path))
+    metrics = parse_metric_csv(_read(path_str, "metric file"))
     for metric in metrics.metrics:
         if metric in INDICATOR_KEYS:
             # it would be shadowed by the indicator in correlate and plot-data

@@ -16,7 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
 from .partition import SummaryRecord, summarize
@@ -69,8 +69,21 @@ def _text(data: Union[bytes, str]) -> str:
     return text
 
 
-def _rows(data: Union[bytes, str]):
-    return csv.reader(io.StringIO(_text(data), newline=""))
+def _rows(data: Union[bytes, str]) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row of data with the number of the line it ends on; a row the
+    csv module rejects is a ParseError that names it."""
+    text = _text(data)
+    # No field is longer than the whole text, so this limit rejects none.  The
+    # limit is global to the csv module: it only grows, so parses running at
+    # the same time never lower each other's.
+    if len(text) > csv.field_size_limit():
+        csv.field_size_limit(len(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as err:
+        raise ParseError(f"row {reader.line_num}: {err}") from None
 
 
 def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], record,
@@ -79,13 +92,12 @@ def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], reco
     and unique names; ``record(name, cells)`` builds each row's record, and
     its errors gain the row number."""
     reader = _rows(data)
-    first = next(reader, None)
+    _, first = next(reader, (0, None))
     if first is None or tuple(h.strip() for h in first) != header:
         raise ParseError(f"{kind} CSV header must be exactly {','.join(header)}")
     records: list[SummaryRecord] = []
     seen: set[str] = set()
-    for row in reader:
-        line = reader.line_num
+    for line, row in reader:
         if not row:
             continue
         if len(row) != len(header):
@@ -172,7 +184,9 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
     """
     try:
         payload = json.loads(_text(data))
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # a JSONDecodeError, an integer past Python's digit limit, or nesting
+        # past the recursion limit
         raise ParseError(f"invalid JSON: {err}") from None
     if not isinstance(payload, list):
         raise ParseError("JSON dataset must be an array of objects")
@@ -217,10 +231,10 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
     return DatasetFile(format="json", records=tuple(records), source=source, window=window)
 
 
-def parse_metric_csv(data: Union[bytes, str], source: str | None = None) -> MetricTable:
+def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
     """Parse an external metric file: header ``name,<metric>[,<metric>...]``."""
     reader = _rows(data)
-    header = next(reader, None)
+    _, header = next(reader, (0, None))
     if header is None or len(header) < 2 or header[0].strip() != "name":
         raise ParseError("metric CSV header must be name,<metric>[,<metric>...]")
     metrics = tuple(h.strip() for h in header[1:])
@@ -230,8 +244,7 @@ def parse_metric_csv(data: Union[bytes, str], source: str | None = None) -> Metr
         if metric in metrics[:i]:
             raise ParseError(f"metric CSV has a duplicate metric column {metric!r}")
     rows: dict[str, tuple[float, ...]] = {}
-    for row in reader:
-        line = reader.line_num
+    for line, row in reader:
         if not row:
             continue
         if len(row) != len(header):

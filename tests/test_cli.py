@@ -360,14 +360,18 @@ class TestBadInputEndsInOneLineError:
     BIG = 10 ** 400
     PAIR = b"name,P,h,Pz,C,Ch\nA,2,1,0,3,2\nB,4,1,3,5,4\n"
 
-    @pytest.mark.parametrize("data, metrics, needle", [
-        (f"name,P,h,Pz,C,Ch\nHuge,{BIG},1,0,{BIG},1\n".encode(), None, b"Huge"),
-        (b"name,P,h,Pz,C,Ch\nA\xff,2,1,0,3,2\n", None, b"UTF-8"),
-        (PAIR, b"name,IF\nA,nan\nB,1.0\n", b"row 2"),
-        (PAIR, b"name,IF\nA,1.0\nB,inf\n", b"row 3"),
-    ], ids=["overflow", "non-utf8", "nan-metric", "inf-metric"])
-    def test_exit_one_without_traceback(self, tmp_path, data, metrics, needle):
-        path = tmp_path / "data.csv"
+    LONG_INT = b'[{"name": "A", "P": ' + b"9" * 5000 + b', "h": 1, "Pz": 0, "C": 3, "Ch": 2}]'
+
+    @pytest.mark.parametrize("data, metrics, needle, name", [
+        (f"name,P,h,Pz,C,Ch\nHuge,{BIG},1,0,{BIG},1\n".encode(), None, b"Huge", "data.csv"),
+        (b"name,P,h,Pz,C,Ch\nA\xff,2,1,0,3,2\n", None, b"UTF-8", "data.csv"),
+        (PAIR, b"name,IF\nA,nan\nB,1.0\n", b"row 2", "data.csv"),
+        (PAIR, b"name,IF\nA,1.0\nB,inf\n", b"row 3", "data.csv"),
+        (b"[" * 200_000, None, b"invalid JSON: maximum recursion depth", "data.json"),
+        (LONG_INT, None, b"invalid JSON: Exceeds the limit", "data.json"),
+    ], ids=["overflow", "non-utf8", "nan-metric", "inf-metric", "deep-json", "long-int-json"])
+    def test_exit_one_without_traceback(self, tmp_path, data, metrics, needle, name):
+        path = tmp_path / name
         path.write_bytes(data)
         args = ["compute", "--input", str(path)]
         if metrics is not None:
@@ -380,6 +384,30 @@ class TestBadInputEndsInOneLineError:
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
         assert needle in proc.stderr
+
+
+class TestUnreadableFile:
+    @pytest.mark.parametrize("option, what", [("--input", "input file"),
+                                              ("--metric-file", "metric file")])
+    def test_usage_error_naming_path_and_reason(self, runner, tmp_path, monkeypatch,
+                                                option, what):
+        path = tmp_path / "locked.csv"
+        path.write_text("name,IF\nNature,1.0\n")
+
+        def read_bytes(self):
+            if self.name == "locked.csv":
+                raise PermissionError(13, "Permission denied", str(self))
+            return original(self)
+
+        original = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        args = {"--input": ["compute", "--input", str(path)],
+                "--metric-file": ["plot-data", "--input", "corpus", "--metric-file", str(path)]}
+        result = runner.invoke(main, args[option])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: {what} not readable: {path} (Permission denied)" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestMetricNamedAfterIndicator:

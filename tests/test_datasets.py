@@ -1,6 +1,9 @@
 """Dataset parsing, validation wiring, and round-trip serialization."""
 
+import csv
+import functools
 import json
+import random
 
 import pytest
 
@@ -90,6 +93,20 @@ class TestParseCitationsCsv:
         with pytest.raises(ParseError, match="header"):
             parse_citations_csv("entity,counts\nA,1\n")
 
+    def test_list_longer_than_the_csv_default_field_limit(self):
+        rng = random.Random(70_000)
+        counts = [rng.randrange(40) for _ in range(70_000)]
+        cell = ";".join(map(str, counts))
+        assert len(cell) > 131_072  # the csv module's default field limit
+        ds = parse_citations_csv(f"name,citations\nBig,{cell}\nSmall,3;2;1\n")
+        assert ds.records == (summarize(counts, "Big"), summarize((3, 2, 1), "Small"))
+
+    def test_csv_error_names_the_row(self, monkeypatch):
+        # the default dialect accepts what a strict one rejects
+        monkeypatch.setattr(csv, "reader", functools.partial(csv.reader, strict=True))
+        with pytest.raises(ParseError, match="^row 3: ',' expected after '\"'$"):
+            parse_citations_csv('name,citations\nA,1\nB,"2"3\n')
+
 
 class TestParseJson:
     def test_summary_objects(self):
@@ -127,6 +144,14 @@ class TestParseJson:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_json("{nope")
+
+    @pytest.mark.parametrize("payload", [
+        "[" * 200_000,  # nesting past the recursion limit
+        '[{"name": "A", "P": ' + "9" * 5_000 + ', "h": 1, "Pz": 0, "C": 3, "Ch": 2}]',
+    ], ids=["deep", "long-int"])
+    def test_json_that_json_loads_rejects_otherwise(self, payload):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse_json(payload)
 
     def test_boolean_count_rejected(self):
         with pytest.raises(ParseError):
