@@ -148,9 +148,9 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
                  figures: int) -> Iterator[str]:
     """The table's text in chunks: every block's columns are formatted first,
     since the widths depend on every cell; then the lines are laid out a
-    block at a time.  Until its layout a block keeps a column of strings as
-    the list of the rows' own strings, and any other column as its texts
-    joined by newlines, which no number's or ``None``'s text holds."""
+    block at a time.  Until its layout a block keeps a column that holds
+    strings as the list of the rows' own strings, and any other column as
+    its texts joined by newlines, which no number's or ``None``'s text holds."""
     encoders = {
         str: list,
         int: lambda column: list(map(str, column)),
@@ -158,20 +158,20 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
         type(None): lambda column: [""] * len(column),
     }
     widths = list(map(len, headers))
-    stored: list[list] = []
+    pending: list[list] = []
     for columns in blocks:
-        texts = []
+        stored = []
         for i, column in enumerate(columns):
             kind = type(column[0])
-            cells = encoders[kind](column)
-            widths[i] = max(widths[i], max(map(len, cells)))
-            texts.append(cells if kind is str else "\n".join(cells))
-        stored.append(texts)
+            texts = encoders[kind](column)
+            widths[i] = max(widths[i], max(map(len, texts)))
+            stored.append(texts if kind is str else "\n".join(texts))
+        pending.append(stored)
     template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
     yield template.format(*headers).rstrip() + "\n"
-    stored.reverse()
-    while stored:  # each block's text is freed once its lines are written
-        columns = (c.split("\n") if isinstance(c, str) else c for c in stored.pop())
+    pending.reverse()
+    while pending:  # each block's text is freed once its lines are written
+        columns = (c.split("\n") if isinstance(c, str) else c for c in pending.pop())
         yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 

