@@ -4,7 +4,8 @@ Summarizes a document set as five numbers (P, h, Pz, C, Ch), which
 fix its h-core, h-tail and uncited classes, then scores that record in
 one step: the academic vectors X, Y and Z (the rows of the 3x3
 performance matrix), the academic trace T and the I3X/I3Y weighted
-indicators, as one ``Scores`` row.
+indicators, as one ``Scores`` row (or a whole set of records as the
+columns of one ``ScoreTable``).
 Includes deterministic ranking, Pearson/Spearman correlation with
 significance levels, dataset parsing, and a bundled reference corpus
 with golden expected values.
@@ -40,7 +41,7 @@ from .errors import (
     UnknownIndicator,
     ValidationError,
 )
-from .indicators import INDICATOR_KEYS, Scores, score
+from .indicators import INDICATOR_KEYS, Scores, ScoreTable, score, score_table
 from .partition import (
     SummaryRecord,
     h_index,
@@ -67,7 +68,9 @@ __all__ = [
     "plausibility_warnings",
     "INDICATOR_KEYS",
     "Scores",
+    "ScoreTable",
     "score",
+    "score_table",
     "rank_entities",
     "pearson",
     "spearman",

@@ -22,7 +22,6 @@ import click
 
 from .correlation import correlation_report
 from .datasets import (
-    DatasetFile,
     MetricTable,
     parse_citations_csv,
     parse_json,
@@ -30,9 +29,9 @@ from .datasets import (
     parse_summary_csv,
 )
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
-from .indicators import INDICATOR_KEYS, Scores, score
+from .indicators import INDICATOR_KEYS, ScoreTable, score_table
 from .partition import plausibility_warnings
-from .ranking import rank_entities
+from .ranking import rank_order
 from .reference import journals_dataset, units_dataset, validate_corpus
 
 _FORMATS = ("summary", "citations", "json")
@@ -56,20 +55,6 @@ def _read(path_str: str, what: str) -> bytes:
         raise click.UsageError(f"{what} not readable: {path_str} ({err.strerror or err})") from None
 
 
-def _load_dataset(input_: str, format_: str | None) -> DatasetFile:
-    if input_ in _CORPUS_INPUTS:
-        return _CORPUS_INPUTS[input_]()
-    data = _read(input_, "input file")
-    path = Path(input_)
-    if format_ is None:
-        format_ = "json" if path.suffix.lower() == ".json" else "summary"
-    if format_ == "summary":
-        return parse_summary_csv(data, source=str(path))
-    if format_ == "citations":
-        return parse_citations_csv(data, source=str(path))
-    return parse_json(data, source=str(path))
-
-
 def _load_metrics(path_str: str) -> MetricTable:
     metrics = parse_metric_csv(_read(path_str, "metric file"))
     for metric in metrics.metrics:
@@ -79,28 +64,32 @@ def _load_metrics(path_str: str) -> MetricTable:
     return metrics
 
 
-def _select_group(dataset: DatasetFile, group: str | None) -> tuple:
-    if not dataset.records:
+def _scored(input_: str, format_: str | None, group: str | None,
+            warn: bool = False) -> ScoreTable:
+    """The score table of the input's records, or of those in group; with
+    warn, each record's plausibility warnings are printed first."""
+    if input_ in _CORPUS_INPUTS:
+        records = _CORPUS_INPUTS[input_]().records
+    else:
+        data = _read(input_, "input file")
+        path = Path(input_)
+        if format_ is None:
+            format_ = "json" if path.suffix.lower() == ".json" else "summary"
+        parse = {"summary": parse_summary_csv, "citations": parse_citations_csv,
+                 "json": parse_json}[format_]
+        records = parse(data, source=str(path)).records
+    if not records:
         raise ValidationError("no records in input")
-    if group is None:
-        return dataset.records
-    wanted = group.lower()
-    selected = tuple(r for r in dataset.records if r.group and r.group.lower() == wanted)
-    if not selected:
-        raise ValidationError(f"no records in group {group!r}")
-    return selected
-
-
-def _score_records(records, warn: bool = False) -> list[Scores]:
-    """Score every record; with warn, also print each record's plausibility
-    warnings."""
-    scores = []
-    for rec in records:
-        if warn:
+    if group is not None:
+        wanted = group.lower()
+        records = [r for r in records if r.group and r.group.lower() == wanted]
+        if not records:
+            raise ValidationError(f"no records in group {group!r}")
+    if warn:
+        for rec in records:
             for warning in plausibility_warnings(rec):
                 click.echo(f"warning: {rec.name}: {warning}", err=True)
-        scores.append(score(rec))
-    return scores
+    return score_table(records)
 
 
 def _format_sig(value: float, figures: int) -> str:
@@ -110,7 +99,7 @@ def _format_sig(value: float, figures: int) -> str:
     digits = figures - 1 - math.floor(math.log10(abs(value)))
     if digits > 0:
         # formatting rounds the exact binary value half to even, as round() would
-        return f"{value:.{digits}f}"
+        return "%.*f" % (digits, value)
     # Round to a multiple of 10**-digits, half to even, in integers: round()
     # raises OverflowError when the result passes the float maximum.
     scale = 10 ** -digits
@@ -128,20 +117,23 @@ def _format_sig(value: float, figures: int) -> str:
 _BLOCK_ROWS = 1024  # report rows encoded and written per chunk
 
 
-def _blocks(rows: Sequence[Sequence], keep: Sequence[int] | None = None,
+def _blocks(columns: Sequence[Sequence], rows: Sequence[int] | None = None,
             ranked: bool = False) -> Iterator[list[Sequence]]:
-    """rows in slices of ``_BLOCK_ROWS``, each as its list of report columns:
-    only the columns at ``keep``, if given, led by the rows' 1-based positions
-    when ``ranked``.  Every report column holds values of one type, so a
-    writer picks each column's encoder from its first value."""
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        columns = list(zip(*block))
-        if keep is not None:
-            columns = [columns[i] for i in keep]
+    """The columns in slices of ``_BLOCK_ROWS`` rows: of the rows at positions
+    ``rows``, in that order, if given, else of every row; led by the 1-based
+    report positions when ``ranked``.  Every report column holds values of
+    one type, so a writer picks each column's encoder from its first value."""
+    count = len(columns[0]) if rows is None else len(rows)
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        if rows is None:
+            block = [column[start:stop] for column in columns]
+        else:
+            picked = rows[start:stop]
+            block = [[column[i] for i in picked] for column in columns]
         if ranked:
-            columns.insert(0, range(start + 1, start + 1 + len(block)))
-        yield columns
+            block.insert(0, range(start + 1, stop + 1))
+        yield block
 
 
 def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
@@ -192,6 +184,8 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_floats(column: Sequence[float]) -> list[str]:
     text = list(map(float.__repr__, column))
+    if math.isfinite(sum(column)):  # an infinity or a NaN makes the sum one
+        return text
     return list(map(_JSON_NONFINITE.get, text, text))
 
 
@@ -205,12 +199,12 @@ _JSON_ENCODERS = {
 
 def _write_json(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
     """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``, in chunks."""
-    keys = (encode_basestring_ascii(h).replace("{", "{{").replace("}", "}}") for h in headers)
-    template = "  {{\n" + ",\n".join(f"    {key}: {{}}" for key in keys) + "\n  }}"
+    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in headers)
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
     separator = "[\n"
     for columns in blocks:
         cells = [_JSON_ENCODERS[type(column[0])](column) for column in columns]
-        yield separator + ",\n".join(map(template.format, *cells))
+        yield separator + ",\n".join([template % row for row in zip(*cells)])
         separator = ",\n"
     yield "[]\n" if separator == "[\n" else "\n]\n"
 
@@ -235,8 +229,9 @@ def _echo_report(output: str, headers: Sequence[str], blocks: Iterable[list[Sequ
         _echo(_write_json(headers, blocks))
 
 
-# The report columns of Scores under --mask-x3: every field but X3.
-_MASKED = [i for i, field in enumerate(Scores._fields) if field != "X3"]
+# The report columns of a ScoreTable: every field, or under --mask-x3 every field but X3.
+_ALL = range(len(ScoreTable._fields))
+_MASKED = [i for i in _ALL if ScoreTable._fields[i] != "X3"]
 
 
 class _Command(click.Command):
@@ -278,9 +273,10 @@ _precision_option = click.option("--precision", type=click.IntRange(1, 17), defa
 @_precision_option
 def compute(input_, format_, output, group, mask_x3, precision) -> None:
     """Per-entity matrix entries, trace, h, I3X, I3Y and the sign flag."""
-    scores = _score_records(_select_group(_load_dataset(input_, format_), group), warn=True)
-    keep = _MASKED if mask_x3 else range(len(Scores._fields))
-    _echo_report(output, [Scores._fields[i] for i in keep], _blocks(scores, keep), precision)
+    table = _scored(input_, format_, group, warn=True)
+    keep = _MASKED if mask_x3 else _ALL
+    _echo_report(output, [table._fields[i] for i in keep], _blocks([table[i] for i in keep]),
+                 precision)
 
 
 @main.command(cls=_Command)
@@ -295,32 +291,33 @@ def compute(input_, format_, output, group, mask_x3, precision) -> None:
 @_precision_option
 def rank(input_, format_, output, group, key, positive_only, mask_x3, precision) -> None:
     """Rank entities by an indicator; ties break by name."""
-    ranked = rank_entities(_score_records(_select_group(_load_dataset(input_, format_), group)),
-                           key=key)
+    table = _scored(input_, format_, group)
+    rows = rank_order(getattr(table, key), table.name)
     if positive_only:
-        ranked = [s for s in ranked if s.sign == "positive"]
-    keep = _MASKED if mask_x3 else range(len(Scores._fields))
-    _echo_report(output, ["rank", *(Scores._fields[i] for i in keep)],
-                 _blocks(ranked, keep, ranked=True), precision)
+        rows = [i for i in rows if table.sign[i] == "positive"]
+    keep = _MASKED if mask_x3 else _ALL
+    _echo_report(output, ["rank", *(table._fields[i] for i in keep)],
+                 _blocks([table[i] for i in keep], rows, ranked=True), precision)
 
 
-def _join_metrics(scores: list[Scores], metrics: MetricTable | None):
-    """Inner-join scored entities with metric rows; warn on mismatches."""
+def _join_metrics(names: Sequence[str], metrics: MetricTable | None):
+    """Inner-join entity names with metric rows; warn on mismatches.  The
+    matched names' positions, and each metric's column of their values."""
     if metrics is None:
-        return scores, {}
-    matched = [s for s in scores if s.name in metrics.rows]
-    matched_names = {s.name for s in matched}
-    for s in scores:
-        if s.name not in matched_names:
-            click.echo(f"warning: no metric row for entity {s.name!r}", err=True)
+        return range(len(names)), {}
+    matched = [i for i, name in enumerate(names) if name in metrics.rows]
+    for name in names:
+        if name not in metrics.rows:
+            click.echo(f"warning: no metric row for entity {name!r}", err=True)
+    matched_names = {names[i] for i in matched}
     for name in metrics.rows:
         if name not in matched_names:
             click.echo(f"warning: metric row {name!r} matches no entity", err=True)
     if not matched:
         raise JoinError("no entity names in common between dataset and metric file")
     metric_columns = {
-        metric: [metrics.rows[s.name][i] for s in matched]
-        for i, metric in enumerate(metrics.metrics)
+        metric: [metrics.rows[names[i]][j] for i in matched]
+        for j, metric in enumerate(metrics.metrics)
     }
     return matched, metric_columns
 
@@ -341,16 +338,15 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     names; default is T plus every metric column, or T/h/I3X/I3Y when no
     metric file is given.
     """
-    records = _select_group(_load_dataset(input_, format_), group)
-    scores = _score_records(records)
+    table = _scored(input_, format_, group)
     metrics = _load_metrics(metric_file) if metric_file else None
-    joined, metric_columns = _join_metrics(scores, metrics)
+    matched, metric_columns = _join_metrics(table.name, metrics)
     if not columns:
         columns = ("T", *metric_columns) if metric_columns else ("T", "h", "I3X", "I3Y")
     series = []
     for column in columns:
         if column in INDICATOR_KEYS:
-            series.append((column, [getattr(s, column) for s in joined]))
+            series.append((column, list(map(getattr(table, column).__getitem__, matched))))
         elif column in metric_columns:
             series.append((column, metric_columns[column]))
         else:
@@ -363,7 +359,7 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     rows = [[p.a, p.b, p.n, p.pearson_r, p.pearson_p, p.pearson_stars,
              p.spearman_rho, p.spearman_p, p.spearman_stars]
             for p in report.pairs]
-    _echo_report(output, headers, _blocks(rows), precision)
+    _echo_report(output, headers, _blocks(list(zip(*rows))), precision)
 
 
 def _golden_lines(cells: Sequence) -> str:
@@ -392,14 +388,14 @@ def validate_reference() -> None:
 @click.option("--positive-only", is_flag=True, help="Keep only entities with T > 0.")
 def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     """Emit name,T,<metric> rows for external plotting."""
-    records = _select_group(_load_dataset(input_, format_), group)
-    scores = _score_records(records)
+    table = _scored(input_, format_, group)
     metrics = _load_metrics(metric_file)
-    joined, metric_columns = _join_metrics(scores, metrics)
+    matched, metric_columns = _join_metrics(table.name, metrics)
     metric = metrics.metrics[0]
-    rows = [(s.name, s.T, value) for s, value in zip(joined, metric_columns[metric])
-            if not positive_only or s.sign == "positive"]
-    _echo(_write_csv(["name", "T", metric], _blocks(rows)))
+    columns = [[table.name[i] for i in matched], [table.T[i] for i in matched],
+               metric_columns[metric]]
+    rows = [j for j, i in enumerate(matched) if not positive_only or table.sign[i] == "positive"]
+    _echo(_write_csv(["name", "T", metric], _blocks(columns, rows)))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -117,6 +118,25 @@ def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], reco
 # whitespace str.strip() does except "\x1c" to "\x1f", so a cell padded with
 # those, or a bad cell, takes the per-cell loop, which names the first bad cell.
 
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # the decimal literals int() accepts
+_QUOTED = 40  # characters of a rejected cell that its error quotes
+
+
+def _quote(cell: str) -> str:
+    return repr(cell) if len(cell) <= _QUOTED else f"{cell[:_QUOTED]!r}..."
+
+
+def _too_large(what: str, cell: str) -> ParseError | None:
+    """For a cell that int() rejects: if it is a well-formed integer, int()
+    refused it for having more digits than Python converts (4,300 by
+    default), and this is the error that says so."""
+    text = cell.strip()
+    if not _INTEGER.fullmatch(text):
+        return None
+    digits = sum(map(str.isdecimal, text))
+    return ParseError(f"{what} is too large: an integer of {digits} digits, {_quote(text)}")
+
+
 def _summary_row(name: str, cells: list[str]) -> SummaryRecord:
     try:
         values = list(map(int, cells))
@@ -126,7 +146,8 @@ def _summary_row(name: str, cells: list[str]) -> SummaryRecord:
             try:
                 values.append(int(cell.strip()))
             except ValueError:
-                raise ParseError(f"{label} is not an integer: {cell!r}") from None
+                raise (_too_large(label, cell)
+                       or ParseError(f"{label} is not an integer: {_quote(cell)}")) from None
     return SummaryRecord(name, *values)  # P, h, Pz, C, Ch in field order
 
 
@@ -142,7 +163,8 @@ def _parse_counts(cell: str) -> list[int]:
             try:
                 counts.append(int(token.strip()))
             except ValueError:
-                raise ParseError(f"malformed citation count {token!r}") from None
+                raise (_too_large("citation count", token)
+                       or ParseError(f"malformed citation count {_quote(token)}")) from None
         return counts
 
 

@@ -1,4 +1,4 @@
-"""The scoring kernel: one summary record in, one row of 13 indicators out.
+"""The scoring kernel: summary records in, a column per indicator out.
 
 Each publication class mass Pi maps to a normalized score Pi^2/P (its
 own share of the set times its size), and each citation class mass Ci
@@ -9,16 +9,20 @@ papers, tail citations, excess citations, and the uncited penalty into
 one scalar; I3X and I3Y are the row sums of X and Y.  Class counts stay
 integral until the final divisions, so all squares are exact before
 rounding, and the sign of T is decided in exact integer arithmetic.
+There is one kernel: ``score_table`` applies it to whole columns of
+records, and ``score`` takes row 0 of a one-record table.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from array import array
+from itertools import islice
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 from .partition import SummaryRecord
 
-__all__ = ["INDICATOR_KEYS", "Scores", "score"]
+__all__ = ["INDICATOR_KEYS", "Scores", "ScoreTable", "score", "score_table"]
 
 
 class Scores(NamedTuple):
@@ -49,32 +53,85 @@ class Scores(NamedTuple):
 INDICATOR_KEYS = Scores._fields[1:-1]
 
 
-def score(record: SummaryRecord) -> Scores:
-    """All indicators of one entity, named after its record."""
-    p = record.papers
-    c = record.citations
-    h = record.h
-    pz = record.uncited
-    ct = record.tail_citations
-    ce = record.excess_citations
-    try:
-        x1 = h ** 2 / p
-        x2 = record.tail_papers ** 2 / p
-        x3 = pz ** 2 / p
-        if c > 0:
-            y1 = (h * h) ** 2 / c
-            y2 = ct ** 2 / c
-            y3 = ce ** 2 / c
-        else:
-            # Uncited set: Ci^2/C -> 0 as all Ci -> 0.
-            y1 = y2 = y3 = 0.0
-    except OverflowError:
-        raise ValidationError(f"{record.name}: class scores exceed the float range") from None
-    z1 = y1 - x1
-    z2 = y2 - x2
-    z3 = y3 - x3
+class ScoreTable(NamedTuple):
+    """A set of scored entities as columns, one per ``Scores`` field and in
+    the same order, so that ``table[i][k]`` is ``Scores`` field i of row k.
+    The float indicators are ``array('d')``; names, h and sign are lists."""
+
+    name: list[str]
+    h: list[int]
+    X1: array
+    X2: array
+    X3: array
+    Y1: array
+    Y2: array
+    Y3: array
+    Z1: array
+    Z2: array
+    Z3: array
+    I3X: array
+    I3Y: array
+    T: array
+    sign: list[str]
+
+
+def _columns(records: list[SummaryRecord]) -> ScoreTable:
+    """The kernel: the score table of records.  Raises OverflowError when a
+    class score exceeds the float range."""
+    ps = [r.papers for r in records]
+    hs = [r.h for r in records]
+    pzs = [r.uncited for r in records]
+    cs = [r.citations for r in records]
+    pts = [r.tail_papers for r in records]
+    cts = [r.tail_citations for r in records]
+    ces = [r.excess_citations for r in records]
+    x1 = [h ** 2 / p for h, p in zip(hs, ps)]
+    x2 = [pt ** 2 / p for pt, p in zip(pts, ps)]
+    x3 = [pz ** 2 / p for pz, p in zip(pzs, ps)]
+    # Uncited set (C = 0): Ci^2/C -> 0 as all Ci -> 0.
+    y1 = [(h * h) ** 2 / c if c > 0 else 0.0 for h, c in zip(hs, cs)]
+    y2 = [ct ** 2 / c if c > 0 else 0.0 for ct, c in zip(cts, cs)]
+    y3 = [ce ** 2 / c if c > 0 else 0.0 for ce, c in zip(ces, cs)]
+    z1 = [y - x for y, x in zip(y1, x1)]
+    z2 = [y - x for y, x in zip(y2, x2)]
+    z3 = [y - x for y, x in zip(y3, x3)]
     # T * P * C, exactly; with C = 0 every citation term is 0 and T = -Pz^2/P <= 0.
-    exact = (h ** 2 * c + (ct ** 2 + ce ** 2) * p) - pz ** 2 * c
-    return Scores(record.name, h, x1, x2, x3, y1, y2, y3, z1, z2, z3,
-                  x1 + x2 + x3, y1 + y2 + y3, x1 + y2 + z3,
-                  "positive" if exact > 0 else "nonpositive")
+    sign = ["positive" if (h ** 2 * c + (ct ** 2 + ce ** 2) * p) - pz ** 2 * c > 0
+            else "nonpositive" for h, c, ct, ce, p, pz in zip(hs, cs, cts, ces, ps, pzs)]
+    floats = (x1, x2, x3, y1, y2, y3, z1, z2, z3,
+              [a + b + c for a, b, c in zip(x1, x2, x3)],
+              [a + b + c for a, b, c in zip(y1, y2, y3)],
+              [a + b + c for a, b, c in zip(x1, y2, z3)])
+    return ScoreTable([r.name for r in records], hs, *(array("d", f) for f in floats), sign)
+
+
+_CHUNK_ROWS = 4096  # rows scored at a time: the kernel's lists live for one chunk only
+
+
+def score_table(records: Iterable[SummaryRecord]) -> ScoreTable:
+    """All indicators of every record, in input order.
+
+    A class score past the float range is a ValidationError naming the
+    first entity, in input order, whose scores exceed it."""
+    table = ScoreTable([], [], *(array("d") for _ in INDICATOR_KEYS[1:]), [])
+    rows = iter(records)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        try:
+            columns = _columns(chunk)
+        except OverflowError:
+            for record in chunk:
+                try:
+                    _columns([record])
+                except OverflowError:
+                    raise ValidationError(
+                        f"{record.name}: class scores exceed the float range") from None
+            raise
+        for stored, column in zip(table, columns):
+            stored.extend(column)
+    return table
+
+
+def score(record: SummaryRecord) -> Scores:
+    """All indicators of one entity, named after its record: row 0 of its
+    one-record table."""
+    return Scores._make(column[0] for column in score_table([record]))

@@ -59,11 +59,11 @@ class SummaryRecord:
                                  self.citations, self.core_citations)
         if not name:
             raise ValidationError("entity name must be non-empty")
-        _require_count(p, f"{name}: P")
-        _require_count(h, f"{name}: h")
-        _require_count(pz, f"{name}: Pz")
-        _require_count(c, f"{name}: C")
-        _require_count(ch, f"{name}: Ch")
+        # one test passes valid counts; only a failure builds labels to name the first bad one
+        if not (type(p) is type(h) is type(pz) is type(c) is type(ch) is int
+                and min(p, h, pz, c, ch) >= 0):
+            for value, label in zip((p, h, pz, c, ch), ("P", "h", "Pz", "C", "Ch")):
+                _require_count(value, f"{name}: {label}")
         if p < 1:
             raise ValidationError(f"{name}: P must be >= 1, got {p}")
         if h > p:

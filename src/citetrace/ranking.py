@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Sequence
 
 from .errors import UnknownIndicator, ValidationError
 from .indicators import INDICATOR_KEYS, Scores
 
-__all__ = ["rank_entities"]
+__all__ = ["rank_entities", "rank_order"]
+
+
+def rank_order(values: Sequence[float], names: Sequence[str]) -> list[int]:
+    """The positions of values, highest value first; ties on the value fall
+    back to the name, ascending lexicographically, and then to input order.
+    Every ranking sorts with this key."""
+    keys = list(zip(map(neg, values), names))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def rank_entities(scores: Sequence[Scores], key: str = "T") -> list[Scores]:
@@ -20,4 +29,5 @@ def rank_entities(scores: Sequence[Scores], key: str = "T") -> list[Scores]:
         raise UnknownIndicator(f"unknown indicator {key!r}; expected one of {', '.join(INDICATOR_KEYS)}")
     if not scores:
         raise ValidationError("rank_entities needs at least one entity")
-    return sorted(scores, key=lambda row: (-getattr(row, key), row.name))
+    order = rank_order([getattr(row, key) for row in scores], [row.name for row in scores])
+    return [scores[i] for i in order]

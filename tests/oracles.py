@@ -62,6 +62,23 @@ def trace_from_counts(core_papers: int, tail_citations: int, excess_citations: i
     return core + tail + (excess - penalty)
 
 
+def scores_row(record) -> tuple:
+    """One record's ``Scores`` fields, one record at a time: the expressions
+    of the column kernel in the same order, so every float must be
+    bit-identical.  OverflowError when a class score exceeds the float range."""
+    p, h, pz, c = record.papers, record.h, record.uncited, record.citations
+    pt, ct, ce = record.tail_papers, record.tail_citations, record.excess_citations
+    x1, x2, x3 = h ** 2 / p, pt ** 2 / p, pz ** 2 / p
+    if c > 0:
+        y1, y2, y3 = (h * h) ** 2 / c, ct ** 2 / c, ce ** 2 / c
+    else:
+        y1 = y2 = y3 = 0.0
+    z1, z2, z3 = y1 - x1, y2 - x2, y3 - x3
+    exact = Fraction(h * h, p) + Fraction(ct * ct + ce * ce, max(c, 1)) - Fraction(pz * pz, p)
+    return (record.name, h, x1, x2, x3, y1, y2, y3, z1, z2, z3, x1 + x2 + x3, y1 + y2 + y3,
+            x1 + y2 + z3, "positive" if exact > 0 else "nonpositive")
+
+
 def midranks_loop(values: Sequence[float]) -> np.ndarray:
     """Midranks by walking each run of tied values in sorted order."""
     v = np.asarray(values, dtype=float)

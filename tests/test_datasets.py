@@ -246,6 +246,25 @@ class TestOneRecordType:
             parse(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("cell, summary, citations", [
+        ("-" + "9_999" * 1200, "P is too large: an integer of 4800 digits, '-9_9999_",
+         "citation count is too large: an integer of 4800 digits, '-9_9999_"),
+        (" " + "7" * 4301 + " ", "P is too large: an integer of 4301 digits, '7777",
+         "citation count is too large: an integer of 4301 digits, '7777"),
+        ("7" * 4301 + "x", "P is not an integer: '7777", "malformed citation count '7777"),
+        ("9__9" * 2000, "P is not an integer: '9__9", "malformed citation count '9__9"),
+    ], ids=["signed-grouped", "padded", "trailing-letter", "double-underscore"])
+    def test_long_cell_is_quoted_short_and_too_large_only_if_well_formed(self, cell, summary,
+                                                                         citations):
+        for parse, data, message in [
+            (parse_summary_csv, f"name,P,h,Pz,C,Ch\nA,{cell},1,0,1,1\n", summary),
+            (parse_citations_csv, f"name,citations\nA,1;{cell}\n", citations),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse(data)
+            assert str(err.value).startswith(f"row 2: {message}")
+            assert str(err.value).endswith("'...") and len(str(err.value)) < 120
+
     def test_cells_padded_with_any_strip_whitespace_parse(self):
         # int() alone does not strip "\x1c" to "\x1f"; str.strip() does
         summary = parse_summary_csv("name,P,h,Pz,C,Ch\nA,\x1c3\x1f, 1 ,0,2,1\n")

@@ -1,7 +1,9 @@
 """The scoring kernel: vectors, matrix rows, trace, I3 sums and the exact sign."""
 
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 from citetrace import (
     SummaryRecord,
     ValidationError,
+    indicators,
     score,
+    score_table,
     summarize,
 )
 from citetrace.reference import matches_displayed
-from oracles import class_weights, i3_aggregate, trace_from_counts
+from oracles import class_weights, i3_aggregate, scores_row, trace_from_counts
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200)
 
@@ -237,3 +241,82 @@ class TestMonotonicity:
             assert math.isclose(value, 0.0, abs_tol=1e-9)
         else:
             assert (value > 0) == (exact > 0)
+
+
+# counts from tiny to past the float limit once squared (2**512 squared is 2**1024)
+magnitudes = (st.integers(0, 40) | st.integers(0, 10 ** 6)
+              | st.integers(2 ** 500, 2 ** 540) | st.integers(0, 2 ** 540))
+
+
+@st.composite
+def summary_records(draw, name: str) -> SummaryRecord:
+    """A valid record; h = 0 (and so C = 0) and Pz = P - h come up often."""
+    p = 1 + draw(magnitudes)
+    h = draw(st.sampled_from([0, 1, p]) | st.integers(0, p))
+    pz = draw(st.sampled_from([0, p - h]) | st.integers(0, p - h))
+    if h == 0:
+        return SummaryRecord(name, p, 0, pz, 0, 0)
+    ch = h * h + draw(magnitudes)
+    return SummaryRecord(name, p, h, pz, ch + draw(magnitudes), ch)
+
+
+def _same(a, b) -> bool:
+    """Equal values; floats equal bit for bit."""
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) is type(b) and a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+class TestScoreTable:
+    """score_table against score(record), row by row, and the one-record-at-a-
+    time reference kernel in tests/oracles.py: every column, bit for bit."""
+
+    @given(st.integers(1, 12).flatmap(
+               lambda n: st.tuples(*(summary_records(f"e{i}") for i in range(n)))),
+           st.sampled_from([1, 2, 3, 4096]))
+    def test_columns_equal_scalar_rows(self, records, chunk_rows):
+        expected = []
+        for record in records:
+            try:
+                expected.append(scores_row(record))
+            except OverflowError:
+                expected.append(None)
+        with mock.patch.object(indicators, "_CHUNK_ROWS", chunk_rows):
+            if None in expected:
+                first = records[expected.index(None)].name
+                with pytest.raises(ValidationError,
+                                   match=f"^{first}: class scores exceed the float range$"):
+                    score_table(records)
+                return
+            table = score_table(records)
+        assert all(len(column) == len(records) for column in table)
+        for k, (record, row) in enumerate(zip(records, expected)):
+            one = score(record)
+            for field, column, want, got in zip(table._fields, table, row, one):
+                assert _same(column[k], want), (field, record)
+                assert _same(got, want), (field, record)
+
+    def test_edge_records(self):
+        records = [SummaryRecord("uncited", 5, 0, 5, 0, 0),  # C = 0, h = 0, Pz = P - h
+                   SummaryRecord("all-core", 3, 3, 0, 9, 9),
+                   SummaryRecord("no-tail", 7, 2, 5, 4, 4),  # Pz = P - h, Ct = 0
+                   SummaryRecord("zero-trace", 4, 1, 3, 5, 4),  # exact T = 0
+                   SummaryRecord("near-max", 1, 1, 0, int(sys.float_info.max), 1)]
+        table = score_table(records)
+        for k, record in enumerate(records):
+            for field, column, want in zip(table._fields, table, scores_row(record)):
+                assert _same(column[k], want), (field, record.name)
+        assert table.sign == ["nonpositive", "positive", "nonpositive", "nonpositive", "positive"]
+        assert table.Y2[4] == sys.float_info.max
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 5, 9])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+    def test_overflow_names_the_first_overflowing_entity(self, k, chunk_rows):
+        records = [SummaryRecord(f"e{i}", 10, 2, 1, 40, 5) for i in range(10)]
+        records[k] = SummaryRecord(f"e{k}", 1, 1, 0, 10 ** 400, 1)  # Y2 = C past the float range
+        if k < 9:
+            records[9] = SummaryRecord("e9", 10 ** 400, 1, 0, 3, 2)  # X2 past it, later
+        with mock.patch.object(indicators, "_CHUNK_ROWS", chunk_rows):
+            with pytest.raises(ValidationError,
+                               match=f"^e{k}: class scores exceed the float range$"):
+                score_table(records)

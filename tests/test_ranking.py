@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citetrace import (
+    INDICATOR_KEYS,
     SummaryRecord,
     UnknownIndicator,
     rank_entities,
@@ -83,3 +84,29 @@ class TestRankEntities:
                                "Z1", "Z2", "Z3", "I3X", "I3Y", "T", "sign")
         assert row.h == 5
         assert row.sign == "positive"
+
+
+def _tied_corpus() -> list[SummaryRecord]:
+    """Records in no name order, in groups whose every indicator is equal,
+    and many more that tie on some indicators only (h, most often)."""
+    records = []
+    for i in range(60):
+        counts = [(i * 7) % 5, (i * 3) % 4, i % 3] if i % 4 else [3, 2, 1]
+        records.append(summarize(counts, f"n{(i * 37) % 60:02d}"))
+    return records
+
+
+@pytest.mark.parametrize("key", INDICATOR_KEYS)
+def test_cli_rank_order_is_rank_entities_order(tmp_path, key):
+    records = _tied_corpus()
+    path = tmp_path / "tied.csv"
+    path.write_text("name,P,h,Pz,C,Ch\n" + "".join(
+        f"{r.name},{r.papers},{r.h},{r.uncited},{r.citations},{r.core_citations}\n"
+        for r in records))
+    result = CliRunner().invoke(main, ["rank", "--input", str(path), "--key", key,
+                                       "--output", "csv"], catch_exceptions=False)
+    cli_names = [line.split(",")[1] for line in result.stdout.splitlines()[1:]]
+    ranked = rank_entities([score(r) for r in records], key=key)
+    assert cli_names == [row.name for row in ranked]
+    values = [getattr(row, key) for row in ranked]
+    assert len(set(values)) < len(values)  # exact ties are ordered by name

@@ -3,6 +3,7 @@
 the number of rows per written block."""
 
 import collections
+import json
 import math
 import random
 import struct
@@ -17,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citetrace import SummaryRecord, rank_entities, score
+from citetrace import SummaryRecord, rank_entities, score, score_table
 from citetrace import cli
 from citetrace.cli import _format_sig, _write_csv, _write_json, _write_table, main
 
@@ -27,7 +28,7 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                   2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max,
                   9.999999999999999e307, 0.5, 2.5, 9.5, 0.05, 999.95, 1e23, 1e16]
 
-names = st.text(alphabet=st.sampled_from(list('ab ,"\n\r{}\\é漢😀\x00')) | st.characters(),
+names = st.text(alphabet=st.sampled_from(list('ab ,"\n\r{}%\\é漢😀\x00')) | st.characters(),
                 max_size=8)
 ints = st.integers(min_value=-10 ** 300, max_value=10 ** 300) | st.integers(-10, 10 ** 6)
 floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
@@ -45,8 +46,12 @@ def reports(draw):
 
 
 def render(writer, headers, rows, *args, keep=None, ranked=False) -> str:
-    """A report's whole text from its chunks, its rows fed as ``cli._blocks`` feeds them."""
-    return "".join(writer(headers, cli._blocks(rows, keep, ranked), *args))
+    """A report's whole text from its chunks: its rows turned into columns,
+    only those at ``keep`` if given, fed as ``cli._blocks`` feeds them."""
+    columns = list(zip(*rows)) if rows else [()] * (len(headers) - ranked)
+    if keep is not None:
+        columns = [columns[i] for i in keep]
+    return "".join(writer(headers, cli._blocks(columns, ranked=ranked), *args))
 
 
 @settings(max_examples=400, deadline=None)
@@ -105,6 +110,39 @@ def test_block_edges_match_the_oracle(monkeypatch, block_rows):
         kept, masked, 4)
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 1024])
+def test_picked_rows_of_a_score_table_match_the_oracle(monkeypatch, block_rows):
+    """_blocks on table columns with row positions, as rank feeds it: a
+    permutation that repeats and skips rows, and no rows at all."""
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    table = score_table(_entity(i) for i in range(11))
+    headers = ["rank", *table._fields]
+    for rows in ([10, 3, 3, 0, 7, 1, 9], [], list(range(11))):
+        expected = [(n, *score(_entity(i))) for n, i in enumerate(rows, start=1)]
+        blocks = cli._blocks(list(table), rows, ranked=True)
+        assert "".join(_write_csv(headers, blocks)) == write_csv(headers, expected)
+        blocks = cli._blocks(list(table), rows, ranked=True)
+        assert "".join(_write_json(headers, blocks)) == write_json(headers, expected)
+        blocks = cli._blocks(list(table), rows, ranked=True)
+        assert "".join(_write_table(headers, blocks, 4)) == write_table(headers, expected, 4)
+
+
+@pytest.mark.parametrize("column", [
+    [1.5, math.inf, -2.0],
+    [1.5, -math.inf, -2.0],
+    [1.5, math.nan, -2.0],
+    [sys.float_info.max] * 2,  # finite values whose float sum overflows
+    [sys.float_info.max, -sys.float_info.max, math.inf],
+], ids=["inf", "-inf", "nan", "sum-overflows", "sum-cancels"])
+def test_json_floats_render_as_json_dumps(column):
+    """_json_floats skips its per-cell lookup of non-finite texts when the
+    column's sum is finite; every other column takes the lookup."""
+    rows = [(value,) for value in column]
+    expected = json.dumps([{"x": value} for value in column], indent=2) + "\n"
+    assert render(_write_json, ["x"], rows) == expected
+    assert render(_write_json, ["x"], rows) == write_json(["x"], rows)
+
+
 @pytest.mark.parametrize("output", ["table", "csv", "json"])
 @pytest.mark.parametrize("command", ["compute", "rank"])
 @pytest.mark.parametrize("mask_x3", [False, True])
@@ -141,16 +179,17 @@ def _drain_peak(chunks) -> int:
 
 
 def test_draining_a_report_holds_a_few_blocks_at_most():
-    scores = [score(_entity(i)) for i in range(20_000)]
-    headers = list(scores[0]._fields)
+    table = score_table(_entity(i) for i in range(20_000))
+    headers = list(table._fields)
+    columns = list(table)
     tracemalloc.start()
     try:
         for writer in (_write_json, _write_csv):
-            assert _drain_peak(writer(headers, cli._blocks(scores))) < 3_000_000, writer.__name__
+            assert _drain_peak(writer(headers, cli._blocks(columns))) < 3_000_000, writer.__name__
         # a table keeps every block until the widths are known: its numbers
         # as one string per column and block, about 150 B a row
-        assert _drain_peak(_write_table(headers, cli._blocks(scores), 4)) < 6_000_000
-        ranked = _write_table(["rank", *headers], cli._blocks(scores, ranked=True), 4)
+        assert _drain_peak(_write_table(headers, cli._blocks(columns), 4)) < 6_000_000
+        ranked = _write_table(["rank", *headers], cli._blocks(columns, ranked=True), 4)
         assert _drain_peak(ranked) < 6_000_000
     finally:
         tracemalloc.stop()
