@@ -113,7 +113,7 @@ def _matches_snapshot(runner, monkeypatch, snapshot):
 
 
 def test_manifest_names_every_snapshot():
-    inputs = {"citations_small.csv", "metrics_small.csv", "snapshots.json"}
+    inputs = {"citations_small.csv", "metrics_small.csv", "summary_small.csv", "snapshots.json"}
     assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS)
 
 
