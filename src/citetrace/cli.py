@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -27,10 +28,11 @@ from .datasets import (
     parse_json,
     parse_metric_csv,
     parse_summary_csv,
+    summary_columns,
 )
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
-from .indicators import INDICATOR_KEYS, ScoreTable, score_table
-from .partition import plausibility_warnings
+from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table, score_table
+from .partition import column_warnings, record_columns
 from .ranking import rank_order
 from .reference import journals_dataset, units_dataset, validate_corpus
 
@@ -75,6 +77,10 @@ def _scored(input_: str, format_: str | None, group: str | None,
         path = Path(input_)
         if format_ is None:
             format_ = "json" if path.suffix.lower() == ".json" else "summary"
+        if format_ == "summary" and group is None:  # summary rows carry no group
+            table = _summary_table(data, warn)
+            if table is not None:
+                return table
         parse = {"summary": parse_summary_csv, "citations": parse_citations_csv,
                  "json": parse_json}[format_]
         records = parse(data, source=str(path)).records
@@ -86,10 +92,33 @@ def _scored(input_: str, format_: str | None, group: str | None,
         if not records:
             raise ValidationError(f"no records in group {group!r}")
     if warn:
-        for rec in records:
-            for warning in plausibility_warnings(rec):
-                click.echo(f"warning: {rec.name}: {warning}", err=True)
+        _warn(column_warnings(*record_columns(records)))
     return score_table(records)
+
+
+def _summary_table(data: bytes, warn: bool) -> ScoreTable | None:
+    """The score table of a summary CSV, scored a chunk of integer columns at
+    a time as the rows are read, with no record per row; with warn, the
+    rows' plausibility warnings are printed first, once every row is read.
+    None for a file with no rows, or when a class score passes the float
+    range: the record path then says so, after every warning."""
+    table, warnings = empty_table(), []
+    try:
+        for columns in summary_columns(data):
+            add_rows(table, *columns)
+            if warn:
+                warnings += column_warnings(*columns)
+    except OverflowError:
+        return None
+    if not table.name:
+        return None
+    _warn(warnings)
+    return table
+
+
+def _warn(warnings: Iterable[tuple[str, str]]) -> None:
+    for name, warning in warnings:
+        click.echo(f"warning: {name}: {warning}", err=True)
 
 
 def _format_sig(value: float, figures: int) -> str:
@@ -167,16 +196,45 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
         yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
-def _write_csv(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
+_CSV_QUOTABLE = re.compile('[,"\r\n\x00]')  # a cell with one of these goes through csv.writer
+
+
+def _csv_strings(column: Sequence[str]) -> list[str]:
+    """The cells of a column of strings as csv.writer writes them."""
+    if not _CSV_QUOTABLE.search("".join(column)):
+        return list(column)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
+    cells = []
+    for cell in column:
+        if _CSV_QUOTABLE.search(cell):
+            out.seek(0)
+            out.truncate()
+            writer.writerow([cell])
+            cell = out.getvalue()[:-1]
+        cells.append(cell)
+    return cells
+
+
+_CSV_ENCODERS = {
+    str: _csv_strings,
+    int: lambda column: list(map(int.__repr__, column)),
+    float: lambda column: list(map(float.__repr__, column)),
+    type(None): lambda column: [""] * len(column),
+}
+
+
+def _write_csv(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
+    """The bytes of ``csv.writer(..., lineterminator="\\n").writerows``, in
+    chunks: each column's cells are encoded once, then joined row by row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(headers)
     yield out.getvalue()
     for columns in blocks:
-        out.seek(0)
-        out.truncate()
-        writer.writerows(zip(*columns))  # None as "", floats by repr
-        yield out.getvalue()
+        cells = [_CSV_ENCODERS[type(column[0])](column) for column in columns]
+        if len(cells) == 1:  # csv.writer quotes a row's only field when it is empty
+            cells[0] = [cell or '""' for cell in cells[0]]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

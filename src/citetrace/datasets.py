@@ -3,10 +3,14 @@
 The summary CSV carries one five-number record per row under the exact
 header ``name,P,h,Pz,C,Ch``.  The citations CSV carries per-document
 counts as a semicolon-separated cell under ``name,citations``; each list
-is summarized as it is read, so every parser yields ``SummaryRecord``s
-only.  JSON mirrors either file format with the same field names.  The
+is summarized as it is read, so every parser yields ``SummaryRecord``s.
+JSON mirrors either file format with the same field names.  The
 serializers write the summary form.  Parsed datasets are immutable;
 every record is validated before a dataset is accepted.
+
+``summary_columns`` reads a summary CSV without a record per row: as
+chunks of integer columns, each checked as a whole, which the scoring
+kernel takes as they are.  Its errors are those of ``parse_summary_csv``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import SummaryRecord, summarize
+from .partition import SummaryRecord, columns_valid, record_columns, summarize
 
 __all__ = [
     "DatasetFile",
@@ -172,6 +177,59 @@ def parse_summary_csv(data: Union[bytes, str], source: str | None = None,
                       window: str | None = None) -> DatasetFile:
     """Parse five-number summary records; strict validation per row."""
     return _parse_csv(data, "summary", SUMMARY_HEADER, _summary_row, source, window)
+
+
+_CHUNK_ROWS = 1024  # summary rows converted, checked and scored at a time
+
+
+class _Rejected(Exception):
+    """A bulk check of summary rows failed; the row-by-row parse says why."""
+
+
+def _checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
+    """The columns (names, P, h, Pz, C, Ch) of non-blank summary CSV rows,
+    converted and checked a column at a time, the names against seen too;
+    _Rejected when a row may be bad."""
+    if set(map(len, rows)) != {len(SUMMARY_HEADER)}:
+        raise _Rejected
+    names, *cells = zip(*rows)
+    names = list(map(str.strip, names))
+    try:
+        counts = [list(map(int, column)) for column in cells]
+    except ValueError:
+        raise _Rejected from None
+    if not (len(set(names)) == len(names) and seen.isdisjoint(names)
+            and columns_valid(names, *counts)):
+        raise _Rejected
+    seen.update(names)
+    return (names, *counts)
+
+
+def summary_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
+    """The rows of a summary CSV as chunks of columns (names, P, h, Pz, C,
+    Ch), in input order, with no record per row.
+
+    Each chunk is checked as a whole before it is yielded.  These checks
+    are only a guard: when one fails, ``parse_summary_csv`` parses the file
+    row by row and raises its first error, in input order, with the same
+    text; if it finds none, its records give the remaining columns."""
+    rows = _rows(data)
+    seen: set[str] = set()
+    done = 0
+    try:
+        _, header = next(rows, (0, None))
+        if header is None or tuple(h.strip() for h in header) != SUMMARY_HEADER:
+            raise _Rejected
+        while lines := list(islice(rows, _CHUNK_ROWS)):
+            chunk = [row for _, row in lines if row]
+            if chunk:
+                columns = _checked(chunk, seen)
+                done += len(chunk)
+                yield columns
+    except (_Rejected, ParseError):  # ParseError: text not UTF-8, or a row csv rejects
+        records = parse_summary_csv(data).records
+        for start in range(done, len(records), _CHUNK_ROWS):
+            yield record_columns(records[start:start + _CHUNK_ROWS])
 
 
 def parse_citations_csv(data: Union[bytes, str], source: str | None = None,

@@ -1,4 +1,4 @@
-"""The scoring kernel: summary records in, a column per indicator out.
+"""The scoring kernel: summary counts in, a column per indicator out.
 
 Each publication class mass Pi maps to a normalized score Pi^2/P (its
 own share of the set times its size), and each citation class mass Ci
@@ -9,8 +9,9 @@ papers, tail citations, excess citations, and the uncited penalty into
 one scalar; I3X and I3Y are the row sums of X and Y.  Class counts stay
 integral until the final divisions, so all squares are exact before
 rounding, and the sign of T is decided in exact integer arithmetic.
-There is one kernel: ``score_table`` applies it to whole columns of
-records, and ``score`` takes row 0 of a one-record table.
+There is one kernel, over integer columns of valid rows: ``add_rows``
+scores such columns into a table, ``score_table`` the columns of records,
+and ``score`` takes row 0 of a one-record table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
-from .partition import SummaryRecord
+from .partition import SummaryRecord, record_columns
 
 __all__ = ["INDICATOR_KEYS", "Scores", "ScoreTable", "score", "score_table"]
 
@@ -75,16 +76,13 @@ class ScoreTable(NamedTuple):
     sign: list[str]
 
 
-def _columns(records: list[SummaryRecord]) -> ScoreTable:
-    """The kernel: the score table of records.  Raises OverflowError when a
-    class score exceeds the float range."""
-    ps = [r.papers for r in records]
-    hs = [r.h for r in records]
-    pzs = [r.uncited for r in records]
-    cs = [r.citations for r in records]
-    pts = [r.tail_papers for r in records]
-    cts = [r.tail_citations for r in records]
-    ces = [r.excess_citations for r in records]
+def _columns(names: list[str], ps: list[int], hs: list[int], pzs: list[int], cs: list[int],
+             chs: list[int]) -> ScoreTable:
+    """The kernel: the score table of valid rows given as integer columns.
+    Raises OverflowError when a class score exceeds the float range."""
+    pts = [p - h - pz for p, h, pz in zip(ps, hs, pzs)]
+    cts = [c - ch for c, ch in zip(cs, chs)]
+    ces = [ch - h * h for ch, h in zip(chs, hs)]
     x1 = [h ** 2 / p for h, p in zip(hs, ps)]
     x2 = [pt ** 2 / p for pt, p in zip(pts, ps)]
     x3 = [pz ** 2 / p for pz, p in zip(pzs, ps)]
@@ -102,7 +100,21 @@ def _columns(records: list[SummaryRecord]) -> ScoreTable:
               [a + b + c for a, b, c in zip(x1, x2, x3)],
               [a + b + c for a, b, c in zip(y1, y2, y3)],
               [a + b + c for a, b, c in zip(x1, y2, z3)])
-    return ScoreTable([r.name for r in records], hs, *(array("d", f) for f in floats), sign)
+    return ScoreTable(names, hs, *(array("d", f) for f in floats), sign)
+
+
+def empty_table() -> ScoreTable:
+    """A table of no rows."""
+    return ScoreTable([], [], *(array("d") for _ in INDICATOR_KEYS[1:]), [])
+
+
+def add_rows(table: ScoreTable, names: list[str], ps: list[int], hs: list[int],
+             pzs: list[int], cs: list[int], chs: list[int]) -> None:
+    """Score valid rows given as integer columns (names, P, h, Pz, C, Ch) and
+    append them to table; nothing is appended when the kernel raises
+    OverflowError, as it does when a class score exceeds the float range."""
+    for stored, column in zip(table, _columns(names, ps, hs, pzs, cs, chs)):
+        stored.extend(column)
 
 
 _CHUNK_ROWS = 4096  # rows scored at a time: the kernel's lists live for one chunk only
@@ -113,21 +125,20 @@ def score_table(records: Iterable[SummaryRecord]) -> ScoreTable:
 
     A class score past the float range is a ValidationError naming the
     first entity, in input order, whose scores exceed it."""
-    table = ScoreTable([], [], *(array("d") for _ in INDICATOR_KEYS[1:]), [])
+    table = empty_table()
     rows = iter(records)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
+        columns = record_columns(chunk)
         try:
-            columns = _columns(chunk)
+            add_rows(table, *columns)
         except OverflowError:
-            for record in chunk:
+            for row in zip(*columns):
                 try:
-                    _columns([record])
+                    _columns(*([value] for value in row))
                 except OverflowError:
                     raise ValidationError(
-                        f"{record.name}: class scores exceed the float range") from None
+                        f"{row[0]}: class scores exceed the float range") from None
             raise
-        for stored, column in zip(table, columns):
-            stored.extend(column)
     return table
 
 

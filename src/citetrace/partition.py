@@ -13,7 +13,8 @@ exact integer arithmetic on immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import add, ge, le, mul
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -126,6 +127,48 @@ def summarize(counts: Iterable[int], name: str = "anonymous") -> SummaryRecord:
                          citations=sum(ranked), core_citations=sum(ranked[:h]))
 
 
+def columns_valid(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],
+                  pzs: Sequence[int], cs: Sequence[int], chs: Sequence[int]) -> bool:
+    """Whether ``SummaryRecord`` accepts every row of these columns of
+    integers: each invariant of ``__post_init__`` tested over whole columns
+    at once.  It names no row; the record checks name the first bad one."""
+    return (all(names) and min(ps) >= 1 and min(hs) >= 0 and min(pzs) >= 0
+            and min(cs) >= 0 and min(chs) >= 0
+            and all(map(le, hs, ps))
+            and all(map(le, map(add, hs, pzs), ps))
+            and all(map(ge, chs, map(mul, hs, hs)))
+            and all(map(le, chs, cs))
+            # C <= h*C, given h, C >= 0, holds for h >= 1 and means C = 0 for
+            # h = 0; Ch = 0 then follows from 0 <= Ch <= C
+            and all(map(le, cs, map(mul, hs, cs))))
+
+
+def record_columns(records: Sequence[SummaryRecord]) -> tuple[list, ...]:
+    """The records as the columns (names, P, h, Pz, C, Ch)."""
+    return ([r.name for r in records], [r.papers for r in records], [r.h for r in records],
+            [r.uncited for r in records], [r.citations for r in records],
+            [r.core_citations for r in records])
+
+
+def column_warnings(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],
+                    pzs: Sequence[int], cs: Sequence[int],
+                    chs: Sequence[int]) -> list[tuple[str, str]]:
+    """The plausibility warnings of valid rows given as columns, as (name,
+    warning) pairs in row order; see ``plausibility_warnings``."""
+    warnings = []
+    for name, p, h, pz, c, ch in zip(names, ps, hs, pzs, cs, chs):
+        pt, ct = p - h - pz, c - ch
+        if ct < pt:
+            warnings.append((name, f"tail citations below tail paper count "
+                                   f"(Ct={ct} < Pt={pt}); "
+                                   f"every cited tail paper carries at least one citation"))
+        if ct > h * pt:
+            warnings.append((name, f"tail citations exceed the h*Pt ceiling "
+                                   f"(Ct={ct} > {h}*{pt}={h * pt}); "
+                                   f"no tail paper can carry more than h citations"))
+    return warnings
+
+
 def plausibility_warnings(record: SummaryRecord) -> list[str]:
     """Soft screen for tail shapes a real document set cannot produce.
 
@@ -133,18 +176,4 @@ def plausibility_warnings(record: SummaryRecord) -> list[str]:
     citation mass must lie in [Pt, h*Pt].  Summary exports that fail this
     are suspicious but not mathematically impossible, hence warnings.
     """
-    warnings = []
-    h, pt, ct = record.h, record.tail_papers, record.tail_citations
-    if ct < pt:
-        warnings.append(
-            f"tail citations below tail paper count "
-            f"(Ct={ct} < Pt={pt}); "
-            f"every cited tail paper carries at least one citation"
-        )
-    if ct > h * pt:
-        warnings.append(
-            f"tail citations exceed the h*Pt ceiling "
-            f"(Ct={ct} > {h}*{pt}={h * pt}); "
-            f"no tail paper can carry more than h citations"
-        )
-    return warnings
+    return [warning for _, warning in column_warnings(*record_columns([record]))]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .datasets import DatasetFile
-from .indicators import score
+from .indicators import score_table
 from .partition import SummaryRecord
 
 __all__ = [
@@ -350,8 +350,12 @@ class ReferenceReport:
         return tuple(cell for cell in self.cells if not cell.passed)
 
 
-def _computed_values(corpus: ReferenceCorpus, name: str) -> dict:
-    return score(corpus.record(name))._asdict()
+def _computed_values(corpus: ReferenceCorpus, names: list[str]) -> dict[str, dict]:
+    """Each named entity's scores by field, from one score table of their records."""
+    names = list(dict.fromkeys(names))
+    table = score_table([corpus.record(name) for name in names])
+    return {name: {field: column[i] for field, column in zip(table._fields, table)}
+            for i, name in enumerate(names)}
 
 
 def validate_corpus(corpus: ReferenceCorpus | None = None) -> ReferenceReport:
@@ -365,15 +369,17 @@ def validate_corpus(corpus: ReferenceCorpus | None = None) -> ReferenceReport:
     tables = (("journals", corpus.golden_journals),
               ("universities", corpus.golden_universities),
               ("authors", corpus.golden_authors))
+    computed = _computed_values(corpus, [row.name for _, rows in tables for row in rows]
+                                + [example.name for example in corpus.worked_examples])
     for table, rows in tables:
         for row in rows:
-            values = _computed_values(corpus, row.name)
+            values = computed[row.name]
             for cell, displayed in row.displayed.items():
                 checks.append(CellCheck(table=table, entity=row.name, cell=cell,
                                         computed=values[cell], displayed=displayed,
                                         passed=matches_displayed(values[cell], displayed)))
     for example in corpus.worked_examples:
-        values = _computed_values(corpus, example.name)
+        values = computed[example.name]
         for cell, displayed in example.matrix.items():
             checks.append(CellCheck(table="worked", entity=example.name, cell=cell,
                                     computed=values[cell], displayed=displayed,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -10,6 +11,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from citetrace import (
+    CitetraceError,
+    ValidationError,
+    parse_summary_csv,
+    plausibility_warnings,
+    score_table,
+)
 from citetrace.cli import main
 from citetrace.reference import reference_corpus
 
@@ -514,3 +522,113 @@ class TestTableOutput:
         assert b"Traceback" not in proc.stderr
         header, row = proc.stdout.decode().splitlines()
         assert dict(zip(header.split(), row.split()))["Y2"] == y2
+
+
+def _summary_rows(n: int) -> list[str]:
+    """n valid summary rows that raise no plausibility warning."""
+    rows = []
+    for i in range(n):
+        p, ch = 20 + i % 7, 9 + i % 5
+        rows.append(f"e{i:04d},{p},3,2,{ch + 2 * (p - 5)},{ch}")
+    return rows
+
+
+def _row_by_row(data: str) -> str:
+    """The stderr of compute by the record path: the first parse error alone;
+    else every plausibility warning, then the first overflowing entity."""
+    try:
+        records = parse_summary_csv(data).records
+    except CitetraceError as err:
+        return f"error: {err}\n"
+    lines = [f"warning: {r.name}: {w}\n" for r in records for w in plausibility_warnings(r)]
+    try:
+        score_table(records)
+    except ValidationError as err:
+        lines.append(f"error: {err}\n")
+    return "".join(lines)
+
+
+class TestErrorOrderAcrossChunks:
+    """A summary CSV is read, checked and scored 1,024 rows at a time.  Its
+    errors and warnings still come out as the row-by-row parse gives them,
+    whether the bad row opens or closes a chunk.  Line 2 is the first row of
+    the first chunk, 1,025 its last, 1,026 the first of the second chunk and
+    4,097 the last of the fourth."""
+
+    LINES = [2, 1025, 1026, 4097]
+    BAD = {
+        "columns": "bad,1,2,3",
+        "integer": "bad,20,x,2,50,9",
+        "blank-name": " ,20,3,2,50,9",
+        "digits": "bad," + "9" * 5000 + ",3,2,50,9",
+        "negative": "bad,20,3,-1,50,9",
+        "P<1": "bad,0,0,0,0,0",
+        "h>P": "bad,2,3,0,50,9",
+        "Pz>P-h": "bad,20,3,18,50,9",
+        "Ch<h^2": "bad,20,3,2,50,8",
+        "Ch>C": "bad,20,3,2,8,9",
+        "h=0,C>0": "bad,20,0,2,5,0",
+        "duplicate": "e0000,20,3,2,50,9",
+    }
+    WARNED = "warned,10,2,1,8,5"  # Ct = 3 < Pt = 7
+    HUGE = f"huge,1,1,0,{10 ** 400},1"  # Y2 past the float range; also warned
+
+    @staticmethod
+    def compute(tmp_path, edits: dict[int, str]):
+        """compute on 4,200 rows with the rows at the given lines replaced."""
+        rows = _summary_rows(4200)
+        for line, row in edits.items():
+            rows[line - 2] = row
+        data = "name,P,h,Pz,C,Ch\n" + "\n".join(rows) + "\n"
+        path = tmp_path / "data.csv"
+        path.write_text(data)
+        result = CliRunner().invoke(main, ["compute", "--input", str(path), "--output", "csv"])
+        return data, result
+
+    @pytest.mark.parametrize("kind, line", [pair for pair in itertools.product(sorted(BAD), LINES)
+                                            if pair != ("duplicate", 2)])
+    def test_one_bad_row(self, tmp_path, kind, line):
+        data, result = self.compute(tmp_path, {3: self.WARNED, line: self.BAD[kind]})
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == _row_by_row(data)
+        assert result.stderr.startswith(f"error: row {line}: ")
+        assert result.stderr.count("\n") == 1  # no warning: the input did not parse
+
+    @pytest.mark.parametrize("first, second", [("integer", "duplicate"),
+                                               ("duplicate", "integer"),
+                                               ("columns", "h=0,C>0"),
+                                               ("blank-name", "digits")])
+    @pytest.mark.parametrize("line", [1025, 4096])
+    def test_the_earlier_of_two_bad_rows(self, tmp_path, first, second, line):
+        data, result = self.compute(tmp_path, {line: self.BAD[first],
+                                               line + 1: self.BAD[second]})
+        assert result.exit_code == 1
+        assert result.stderr == _row_by_row(data)
+        assert result.stderr.startswith(f"error: row {line}: ")
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_overflow_names_its_entity_after_every_warning(self, tmp_path, line):
+        data, result = self.compute(tmp_path, {line: self.HUGE, 1024: self.WARNED,
+                                               4098: self.WARNED.replace("warned", "late")})
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == _row_by_row(data)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 4 and lines[-1] == "error: huge: class scores exceed the float range"
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_a_parse_error_after_an_overflow_comes_first(self, tmp_path, line):
+        data, result = self.compute(tmp_path, {line: self.HUGE, 4099: self.BAD["columns"]})
+        assert result.stderr == _row_by_row(data) == "error: row 4099: expected 6 columns, got 4\n"
+
+    def test_cells_only_the_row_parse_accepts(self, tmp_path):
+        # int() keeps the "\x1c" that str.strip() removes, so the bulk conversion
+        # rejects the cell and the record path reads the rest of the file
+        data, padded = self.compute(tmp_path, {1026: "e1024,\x1c21\x1c,3,2,51,9",
+                                               4097: self.WARNED})
+        _, plain = self.compute(tmp_path, {1026: "e1024,21,3,2,51,9", 4097: self.WARNED})
+        assert padded.exit_code == plain.exit_code == 0
+        assert padded.stdout == plain.stdout
+        assert padded.stderr == plain.stderr == _row_by_row(data)
+        assert padded.stderr.startswith("warning: warned: ")

@@ -4,10 +4,14 @@ import csv
 import functools
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citetrace import (
+    CitetraceError,
     DuplicateEntity,
     ParseError,
     SummaryRecord,
@@ -20,6 +24,9 @@ from citetrace import (
     parse_summary_csv,
     summarize,
 )
+from citetrace import datasets
+from citetrace.datasets import summary_columns
+from citetrace.partition import record_columns
 
 SUMMARY = "name,P,h,Pz,C,Ch\nJ Informetr,105,18,5,1132,574\nYe FY,25,5,9,72,51\n"
 CITATIONS = "name,citations\nA,10;8;5;4;3\nB,0;0;0\n"
@@ -65,6 +72,64 @@ class TestParseSummaryCsv:
         data = 'name,P,h,Pz,C,Ch\n"Libr, J",10,2,3,9,5\n'
         ds = parse_summary_csv(data)
         assert ds.records[0].name == "Libr, J"
+
+
+@st.composite
+def summary_line(draw, i: int) -> str:
+    """Summary CSV row i: most are valid, the rest break one rule or another
+    (column count, name, cell text, an invariant) or are blank."""
+    name = f"e{i}"
+    if draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(["", " ", "e0", " e1 ", '"d,e"', '"d,e"']))
+    p = draw(st.integers(1, 9))
+    h = draw(st.integers(0, p))
+    pz = draw(st.integers(0, p - h))
+    ch = h * h + draw(st.integers(0, 3)) if h else 0
+    c = ch + draw(st.integers(0, 4)) if h else 0
+    cells = [str(v) for v in (p, h, pz, c, ch)]
+    if draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, 4))
+        cells[i] = draw(st.sampled_from(["-1", "x", " 7 ", "\x1c3", "1_0", "+2", "", "20"]))
+    if draw(st.integers(0, 11)) == 0:
+        cells = cells[:draw(st.integers(0, 5))]
+    return ",".join([name, *cells]) if cells or name else ""
+
+
+summary_files = st.integers(0, 10).flatmap(
+    lambda n: st.tuples(*(summary_line(i) for i in range(n))))
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except CitetraceError as err:
+        return type(err), str(err)
+
+
+class TestSummaryColumns:
+    """summary_columns against the row-by-row parse: the same columns, or the
+    same first error, for any chunk size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(summary_files, st.sampled_from([1, 2, 3, 1024]),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_columns_or_error_equal_the_row_parse(self, lines, chunk_rows, newline):
+        data = newline.join(["name,P,h,Pz,C,Ch", *lines]) + newline
+
+        def columns():
+            chunks = list(summary_columns(data))
+            assert all(chunks) and all(len(set(map(len, chunk))) == 1 for chunk in chunks)
+            return tuple([value for chunk in chunks for value in chunk[k]] for k in range(6))
+
+        with mock.patch.object(datasets, "_CHUNK_ROWS", chunk_rows):
+            got = _outcome(columns)
+        assert got == _outcome(lambda: record_columns(parse_summary_csv(data).records))
+
+    @pytest.mark.parametrize("data", ["", "name,P,h\n", "name,P,h,Pz,C,Ch\n\n\n",
+                                      b"name,P,h,Pz,C,Ch\nA\xff,2,1,0,3,2\n"])
+    def test_header_text_and_empty_files(self, data):
+        assert _outcome(lambda: list(summary_columns(data))) == _outcome(
+            lambda: [] if not parse_summary_csv(data).records else None)
 
 
 class TestParseCitationsCsv:

@@ -13,6 +13,7 @@ from citetrace import (
     plausibility_warnings,
     summarize,
 )
+from citetrace.partition import columns_valid
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200)
 
@@ -236,3 +237,44 @@ class TestPlausibilityWarnings:
         warnings = plausibility_warnings(rec)
         assert len(warnings) == 1
         assert "ceiling" in warnings[0]
+
+
+@st.composite
+def five_counts(draw):
+    """P, h, Pz, C, Ch with negatives, h > P, Pz = P - h, Ch = h^2, Ch = C and
+    h = 0 with C > 0 drawn often."""
+    small = st.integers(-2, 12)
+    p = draw(small)
+    h = draw(small | st.just(0))
+    pz = draw(small | st.just(p - h))
+    c = draw(small | st.integers(1, 5))
+    ch = draw(small | st.just(h * h) | st.just(c))
+    return p, h, pz, c, ch
+
+
+def _accepted(name, counts) -> bool:
+    try:
+        SummaryRecord(name, *counts)
+    except ValidationError:
+        return False
+    return True
+
+
+class TestColumnsValid:
+    @settings(max_examples=500)
+    @given(five_counts(), st.sampled_from(["e", ""]))
+    def test_accepts_a_row_exactly_when_a_record_does(self, counts, name):
+        assert columns_valid([name], *([v] for v in counts)) == _accepted(name, counts)
+
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", ""]), five_counts()),
+                    min_size=1, max_size=6))
+    def test_accepts_columns_exactly_when_every_row_is_a_record(self, rows):
+        names = [name for name, _ in rows]
+        columns = zip(*(counts for _, counts in rows))
+        assert columns_valid(names, *map(list, columns)) == all(
+            _accepted(name, counts) for name, counts in rows)
+
+    def test_large_counts(self):
+        big = 10 ** 400
+        assert columns_valid(["e"], [big], [1], [0], [big], [1])
+        assert not columns_valid(["e"], [big], [0], [0], [big], [0])
