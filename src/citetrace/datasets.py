@@ -77,14 +77,20 @@ def _text(data: Union[bytes, str]) -> str:
 
 def _rows(data: Union[bytes, str]) -> Iterator[tuple[int, list[str]]]:
     """Each CSV row of data with the number of the line it ends on; a row the
-    csv module rejects is a ParseError that names it."""
-    text = _text(data)
-    # No field is longer than the whole text, so this limit rejects none.  The
+    csv module rejects is a ParseError that names it.  Bytes are decoded a
+    few kilobytes at a time as the rows are read, once the whole input is
+    known to be UTF-8, so no decoded copy of the whole text is kept."""
+    # No field is longer than the whole input, so this limit rejects none.  The
     # limit is global to the csv module: it only grows, so parses running at
     # the same time never lower each other's.
-    if len(text) > csv.field_size_limit():
-        csv.field_size_limit(len(text))
-    reader = csv.reader(io.StringIO(text, newline=""))
+    if len(data) > csv.field_size_limit():
+        csv.field_size_limit(len(data))
+    if isinstance(data, bytes):
+        _text(data)  # a ParseError unless the whole input is UTF-8
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    else:
+        lines = io.StringIO(_text(data), newline="")
+    reader = csv.reader(lines)
     try:
         for row in reader:
             yield reader.line_num, row

@@ -132,6 +132,22 @@ class TestSummaryColumns:
             lambda: [] if not parse_summary_csv(data).records else None)
 
 
+class TestRowsOfBytes:
+    """Bytes are decoded 8 KB at a time as rows are read: the rows and line
+    numbers equal those of the decoded text, where a line may end at \\n, \\r
+    or \\r\\n and nowhere else, whatever straddles a decoding boundary."""
+
+    @settings(max_examples=300)
+    @given(st.integers(8150, 8200), st.booleans(),
+           st.lists(st.sampled_from(["a", ",", '"', "\r", "\n", "\r\n", "é", "😀",
+                                     "\x85", "\u2028", "\x0b", "\x1c"]),
+                    max_size=60).map("".join))
+    def test_rows_equal_those_of_the_text(self, pad, bom, tail):
+        text = "x,y\n" + "z" * pad + tail
+        data = ("\ufeff" if bom else "").encode() + text.encode()
+        assert list(datasets._rows(data)) == list(datasets._rows(text))
+
+
 class TestParseCitationsCsv:
     def test_counts_parsed(self):
         ds = parse_citations_csv(CITATIONS)
