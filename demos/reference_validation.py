@@ -36,11 +36,9 @@ for value, shown in ((6.125, "6.13"), (6.136, "6.13"), (-43.0041, "-43")):
 
 # Tampering with a golden value makes exactly that cell fail -- this is
 # the same machinery the command-line `validate-reference` exits 1 on.
-from dataclasses import replace
-
 target = corpus.golden_journals[0]
-tampered = replace(corpus, golden_journals=(
-    replace(target, displayed={**target.displayed, "T": "999999"}),
+tampered = corpus._replace(golden_journals=(
+    target._replace(displayed={**target.displayed, "T": "999999"}),
 ) + corpus.golden_journals[1:])
 broken = validate_corpus(tampered)
 print(f"\nafter perturbing one golden trace: ok={broken.ok}, "

@@ -15,7 +15,6 @@ import math
 import re
 import sys
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -74,10 +73,12 @@ def _scored(input_: str, format_: str | None, group: str | None,
         records = _CORPUS_INPUTS[input_]().records
     else:
         data = _read(input_, "input file")
+        if group is not None:  # no file format carries a group
+            raise ValidationError(f"no records in group {group!r}")
         path = Path(input_)
         if format_ is None:
             format_ = "json" if path.suffix.lower() == ".json" else "summary"
-        if format_ == "summary" and group is None:  # summary rows carry no group
+        if format_ == "summary":
             table = _summary_table(data, warn)
             if table is not None:
                 return table
@@ -247,21 +248,21 @@ def _json_floats(column: Sequence[float]) -> list[str]:
     return list(map(_JSON_NONFINITE.get, text, text))
 
 
-_JSON_ENCODERS = {
-    str: lambda column: list(map(encode_basestring_ascii, column)),
-    int: lambda column: list(map(int.__repr__, column)),
-    float: _json_floats,
-    type(None): lambda column: ["null"] * len(column),
-}
-
-
 def _write_json(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
     """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``, in chunks."""
+    from json.encoder import encode_basestring_ascii  # here: only JSON output needs json
+
+    encoders = {
+        str: lambda column: list(map(encode_basestring_ascii, column)),
+        int: lambda column: list(map(int.__repr__, column)),
+        float: _json_floats,
+        type(None): lambda column: ["null"] * len(column),
+    }
     keys = (encode_basestring_ascii(h).replace("%", "%%") for h in headers)
     template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
     separator = "[\n"
     for columns in blocks:
-        cells = [_JSON_ENCODERS[type(column[0])](column) for column in columns]
+        cells = [encoders[type(column[0])](column) for column in columns]
         yield separator + ",\n".join([template % row for row in zip(*cells)])
         separator = ",\n"
     yield "[]\n" if separator == "[\n" else "\n]\n"

@@ -19,8 +19,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateInput, LengthMismatch
 
@@ -181,8 +180,7 @@ def stars(p: float) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class PairCorrelation:
+class PairCorrelation(NamedTuple):
     """Pearson and Spearman results for one pair of metric columns."""
 
     a: str
@@ -202,8 +200,7 @@ class PairCorrelation:
         return stars(self.spearman_p) if self.spearman_p is not None else ""
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """All pairwise correlations for a set of named metric columns."""
 
     pairs: tuple[PairCorrelation, ...]

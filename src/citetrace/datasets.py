@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
 from .partition import SummaryRecord, columns_valid, record_columns, summarize
@@ -42,8 +40,7 @@ SUMMARY_HEADER = ("name", "P", "h", "Pz", "C", "Ch")
 CITATIONS_HEADER = ("name", "citations")
 
 
-@dataclass(frozen=True)
-class DatasetFile:
+class DatasetFile(NamedTuple):
     """A parsed dataset: homogeneous records plus provenance metadata.
 
     The time window is free text applied upstream (e.g. "2009-2010");
@@ -56,8 +53,7 @@ class DatasetFile:
     window: str | None = None
 
 
-@dataclass(frozen=True)
-class MetricTable:
+class MetricTable(NamedTuple):
     """External per-entity metric columns (e.g. impact factors) keyed by name."""
 
     metrics: tuple[str, ...]
@@ -268,6 +264,8 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
     CSV's semicolon string) and are summarized as they are read.  One
     file holds one record type.
     """
+    import json  # here, not at module level: only JSON input needs it
+
     try:
         payload = json.loads(_text(data))
     except (ValueError, RecursionError) as err:
@@ -361,6 +359,8 @@ def dataset_to_csv(dataset: DatasetFile) -> str:
 
 def dataset_to_json(dataset: DatasetFile) -> str:
     """Serialize to the JSON mirror of the summary CSV fields."""
+    import json
+
     items = [{"name": rec.name, "P": rec.papers, "h": rec.h, "Pz": rec.uncited,
               "C": rec.citations, "Ch": rec.core_citations} for rec in dataset.records]
     return json.dumps(items, indent=2) + "\n"

@@ -17,14 +17,15 @@ arithmetic so the boundary cases are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .datasets import DatasetFile
 from .indicators import score_table
 from .partition import SummaryRecord
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 __all__ = [
     "GoldenRow",
@@ -230,8 +231,7 @@ _WORKED = (
 )
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     """One entity's expected matrix entries and trace, as displayed strings."""
 
     name: str
@@ -240,8 +240,7 @@ class GoldenRow:
     displayed: Mapping[str, str]  # keys X1..Z3 and T
 
 
-@dataclass(frozen=True)
-class WorkedExample:
+class WorkedExample(NamedTuple):
     """A fully written-out matrix plus one or more trace displays."""
 
     name: str
@@ -249,8 +248,7 @@ class WorkedExample:
     traces: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ReferenceCorpus:
+class ReferenceCorpus(NamedTuple):
     journals: tuple[SummaryRecord, ...]
     units: tuple[SummaryRecord, ...]
     golden_journals: tuple[GoldenRow, ...]
@@ -316,19 +314,22 @@ def units_dataset() -> DatasetFile:
 
 def displayed_tolerance(displayed: str) -> Decimal:
     """Half a unit in the last displayed decimal place."""
+    from decimal import Decimal  # here, not at module level: only the reference check needs it
+
     decimals = -Decimal(displayed).as_tuple().exponent
     return Decimal(5) / (10 ** (decimals + 1))
 
 
 def matches_displayed(computed: float, displayed: str) -> bool:
     """Exact decimal comparison of |computed - displayed| against the tolerance."""
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 60
         return abs(Decimal(computed) - Decimal(displayed)) <= displayed_tolerance(displayed)
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     table: str
     entity: str
     cell: str
@@ -337,8 +338,7 @@ class CellCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ReferenceReport:
+class ReferenceReport(NamedTuple):
     cells: tuple[CellCheck, ...]
 
     @property

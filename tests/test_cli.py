@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from citetrace import (
     CitetraceError,
     ValidationError,
+    dataset_to_json,
     parse_summary_csv,
     plausibility_warnings,
     score_table,
@@ -131,7 +132,8 @@ def test_csv_output_matches_snapshot(runner, monkeypatch, snapshot):
 
 
 # The other report formats, the rank column under --mask-x3, a table of very
-# small p-values, plot-data, and a correlate at n = 2 (no p-values).
+# small p-values, plot-data, a correlate at n = 2 (no p-values), and the
+# validate-reference listing.
 @pytest.mark.parametrize("snapshot", sorted(set(SNAPSHOTS) - set(CSV_SNAPSHOTS)))
 def test_json_and_table_output_match_snapshot(runner, monkeypatch, snapshot):
     _matches_snapshot(runner, monkeypatch, snapshot)
@@ -354,6 +356,52 @@ def test_numpy_and_scipy_never_load(tmp_path):
         "correlate": [], "plot-data": []}
 
 
+# What importing the CLI adds to sys.modules once click is loaded.
+ADDED_BY_IMPORT = """
+import json, sys
+import click
+before = set(sys.modules)
+import citetrace.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestLazyImports:
+    """decimal and json load only in the calls that need them, and the
+    result types are NamedTuples, which cost far less to define at import."""
+
+    def test_cli_import_loads_no_decimal_json_or_numbers(self):
+        proc = subprocess.run([sys.executable, "-c", ADDED_BY_IMPORT],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        added = set(json.loads(proc.stdout))
+        assert "citetrace.cli" in added
+        assert added & {"decimal", "json", "numbers"} == set()
+
+    def test_summary_record_is_the_only_dataclass(self):
+        import dataclasses
+
+        import citetrace
+
+        assert [name for name in citetrace.__all__
+                if dataclasses.is_dataclass(getattr(citetrace, name))] == ["SummaryRecord"]
+
+    @pytest.mark.parametrize("snapshot", ["compute_corpus.json", "validate_reference.txt"])
+    def test_fresh_process_matches_snapshot(self, snapshot):
+        proc = subprocess.run([sys.executable, "-m", "citetrace.cli", *SNAPSHOTS[snapshot]],
+                              capture_output=True, timeout=60, cwd=DATA.parent.parent)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA / snapshot).read_bytes()
+
+    def test_fresh_process_reads_json_input(self, tmp_path):
+        path = tmp_path / "summary_small.json"
+        summary = parse_summary_csv((DATA / "summary_small.csv").read_bytes())
+        path.write_text(dataset_to_json(summary))
+        proc = _run_cli(["compute", "--input", str(path), "--output", "json"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA / "compute_summary_small.json").read_bytes()
+
+
 class TestBadInputEndsInOneLineError:
     BIG = 10 ** 400
     PAIR = b"name,P,h,Pz,C,Ch\nA,2,1,0,3,2\nB,4,1,3,5,4\n"
@@ -464,6 +512,32 @@ class TestEmptyGroup:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: no records in group 'nosuch'\n"
+
+
+class TestGroupOnFileInput:
+    """No file format carries a group, so --group on a file fails once the
+    file is read, before it is parsed."""
+
+    @pytest.mark.parametrize("name, data, args", [
+        ("data.csv", JOI_CSV, []),
+        ("data.csv", TRIO_CITATIONS, ["--format", "citations"]),
+        ("data.json", json.dumps([{"name": "A", "citations": [3, 2, 1]}]), []),
+        ("data.csv", "name,P,h,Pz,C,Ch\nX,10,4,0,20,15\nX,1\n", []),
+    ], ids=["summary", "citations", "json", "malformed"])
+    @pytest.mark.parametrize("command", ["compute", "rank", "correlate"])
+    def test_one_line_error(self, runner, tmp_path, name, data, args, command):
+        path = tmp_path / name
+        path.write_text(data)
+        result = runner.invoke(main, [command, "--input", str(path), *args, "--group", "LIS"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: no records in group 'LIS'\n"
+
+    def test_missing_file_stays_a_usage_error(self, runner, tmp_path):
+        missing = tmp_path / "missing.csv"
+        result = runner.invoke(main, ["compute", "--input", str(missing), "--group", "LIS"])
+        assert result.exit_code == 2
+        assert f"input file not found: {missing}" in result.stderr
 
 
 class TestNoRecords:

@@ -102,9 +102,8 @@ class TestValidateCorpus:
     def test_perturbed_golden_value_fails_that_cell(self):
         corpus = reference_corpus()
         target = corpus.golden_journals[0]
-        tampered_row = replace(target, displayed={**target.displayed, "X1": "9.99"})
-        tampered = replace(corpus,
-                           golden_journals=(tampered_row,) + corpus.golden_journals[1:])
+        tampered_row = target._replace(displayed={**target.displayed, "X1": "9.99"})
+        tampered = corpus._replace(golden_journals=(tampered_row,) + corpus.golden_journals[1:])
         report = validate_corpus(tampered)
         assert not report.ok
         assert [(c.entity, c.cell) for c in report.failures] == [(target.name, "X1")]
