@@ -21,17 +21,10 @@ from typing import Iterable, Iterator, Sequence
 import click
 
 from .correlation import correlation_report
-from .datasets import (
-    MetricTable,
-    parse_citations_csv,
-    parse_json,
-    parse_metric_csv,
-    parse_summary_csv,
-    summary_columns,
-)
+from .datasets import MetricTable, parse_citations_csv, parse_json, parse_metric_csv, summary_columns
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
-from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table, score_table
-from .partition import column_warnings, record_columns
+from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table
+from .partition import column_chunks, column_warnings
 from .ranking import rank_order
 from .reference import journals_dataset, units_dataset, validate_corpus
 
@@ -65,55 +58,50 @@ def _load_metrics(path_str: str) -> MetricTable:
     return metrics
 
 
-def _scored(input_: str, format_: str | None, group: str | None,
-            warn: bool = False) -> ScoreTable:
-    """The score table of the input's records, or of those in group; with
-    warn, each record's plausibility warnings are printed first."""
+def _input_columns(input_: str, format_: str | None,
+                   group: str | None) -> Iterator[tuple[list, ...]]:
+    """The input's records, or those in group, as chunks of integer columns
+    (names, P, h, Pz, C, Ch): a summary CSV's read as its rows are, with
+    no record per row."""
     if input_ in _CORPUS_INPUTS:
         records = _CORPUS_INPUTS[input_]().records
-    else:
-        data = _read(input_, "input file")
-        if group is not None:  # no file format carries a group
-            raise ValidationError(f"no records in group {group!r}")
-        path = Path(input_)
-        if format_ is None:
-            format_ = "json" if path.suffix.lower() == ".json" else "summary"
-        if format_ == "summary":
-            table = _summary_table(data, warn)
-            if table is not None:
-                return table
-        parse = {"summary": parse_summary_csv, "citations": parse_citations_csv,
-                 "json": parse_json}[format_]
-        records = parse(data, source=str(path)).records
-    if not records:
-        raise ValidationError("no records in input")
-    if group is not None:
-        wanted = group.lower()
-        records = [r for r in records if r.group and r.group.lower() == wanted]
-        if not records:
-            raise ValidationError(f"no records in group {group!r}")
-    if warn:
-        _warn(column_warnings(*record_columns(records)))
-    return score_table(records)
+        if group is not None:
+            wanted = group.lower()
+            records = [r for r in records if r.group and r.group.lower() == wanted]
+            if not records:
+                raise ValidationError(f"no records in group {group!r}")
+        return column_chunks(records)
+    data = _read(input_, "input file")
+    if group is not None:  # no file format carries a group
+        raise ValidationError(f"no records in group {group!r}")
+    if format_ is None:
+        format_ = "json" if Path(input_).suffix.lower() == ".json" else "summary"
+    if format_ == "summary":
+        return summary_columns(data)
+    parse = parse_json if format_ == "json" else parse_citations_csv
+    return column_chunks(parse(data).records)
 
 
-def _summary_table(data: bytes, warn: bool) -> ScoreTable | None:
-    """The score table of a summary CSV, scored a chunk of integer columns at
-    a time as the rows are read, with no record per row; with warn, the
-    rows' plausibility warnings are printed first, once every row is read.
-    None for a file with no rows, or when a class score passes the float
-    range: the record path then says so, after every warning."""
-    table, warnings = empty_table(), []
-    try:
-        for columns in summary_columns(data):
-            add_rows(table, *columns)
-            if warn:
-                warnings += column_warnings(*columns)
-    except OverflowError:
-        return None
-    if not table.name:
-        return None
+def _scored(input_: str, format_: str | None, group: str | None,
+            warn: bool = False) -> ScoreTable:
+    """The score table of the input's records, or of those in group, scored
+    a chunk at a time.  With warn, the rows' plausibility warnings are
+    printed once every row is read.  A class score past the float range is
+    raised after them, so an error later in the input still comes first."""
+    table, warnings, overflow = empty_table(), [], None
+    for columns in _input_columns(input_, format_, group):
+        if warn:
+            warnings += column_warnings(*columns)
+        if overflow is None:
+            try:
+                add_rows(table, *columns)
+            except ValidationError as err:
+                overflow = err
     _warn(warnings)
+    if overflow is not None:
+        raise overflow
+    if not table.name:
+        raise ValidationError("no records in input")
     return table
 
 

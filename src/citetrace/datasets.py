@@ -11,6 +11,8 @@ every record is validated before a dataset is accepted.
 ``summary_columns`` reads a summary CSV without a record per row: as
 chunks of integer columns, each checked as a whole, which the scoring
 kernel takes as they are.  Its errors are those of ``parse_summary_csv``.
+The chunks are those of ``partition.chunks``, which every reader and the
+scoring kernel share.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import SummaryRecord, columns_valid, record_columns, summarize
+from .partition import SummaryRecord, chunks, column_chunks, columns_valid, summarize
 
 __all__ = [
     "DatasetFile",
@@ -181,9 +183,6 @@ def parse_summary_csv(data: Union[bytes, str], source: str | None = None,
     return _parse_csv(data, "summary", SUMMARY_HEADER, _summary_row, source, window)
 
 
-_CHUNK_ROWS = 1024  # summary rows converted, checked and scored at a time
-
-
 class _Rejected(Exception):
     """A bulk check of summary rows failed; the row-by-row parse says why."""
 
@@ -222,16 +221,14 @@ def summary_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
         _, header = next(rows, (0, None))
         if header is None or tuple(h.strip() for h in header) != SUMMARY_HEADER:
             raise _Rejected
-        while lines := list(islice(rows, _CHUNK_ROWS)):
+        for lines in chunks(rows):
             chunk = [row for _, row in lines if row]
             if chunk:
                 columns = _checked(chunk, seen)
                 done += len(chunk)
                 yield columns
     except (_Rejected, ParseError):  # ParseError: text not UTF-8, or a row csv rejects
-        records = parse_summary_csv(data).records
-        for start in range(done, len(records), _CHUNK_ROWS):
-            yield record_columns(records[start:start + _CHUNK_ROWS])
+        yield from column_chunks(islice(parse_summary_csv(data).records, done, None))
 
 
 def parse_citations_csv(data: Union[bytes, str], source: str | None = None,

@@ -9,19 +9,19 @@ papers, tail citations, excess citations, and the uncited penalty into
 one scalar; I3X and I3Y are the row sums of X and Y.  Class counts stay
 integral until the final divisions, so all squares are exact before
 rounding, and the sign of T is decided in exact integer arithmetic.
-There is one kernel, over integer columns of valid rows: ``add_rows``
-scores such columns into a table, ``score_table`` the columns of records,
-and ``score`` takes row 0 of a one-record table.
+There is one kernel, over integer columns of valid rows.  ``add_rows``
+scores such columns into a table and is the one place that names a row
+whose class scores pass the float range; ``score_table`` adds the records
+a chunk at a time, and ``score`` takes row 0 of a one-record table.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
-from .partition import SummaryRecord, record_columns
+from .partition import SummaryRecord, column_chunks
 
 __all__ = ["INDICATOR_KEYS", "Scores", "ScoreTable", "score", "score_table"]
 
@@ -111,13 +111,20 @@ def empty_table() -> ScoreTable:
 def add_rows(table: ScoreTable, names: list[str], ps: list[int], hs: list[int],
              pzs: list[int], cs: list[int], chs: list[int]) -> None:
     """Score valid rows given as integer columns (names, P, h, Pz, C, Ch) and
-    append them to table; nothing is appended when the kernel raises
-    OverflowError, as it does when a class score exceeds the float range."""
-    for stored, column in zip(table, _columns(names, ps, hs, pzs, cs, chs)):
+    append them to table.  A class score past the float range is a
+    ValidationError naming the first such row, and nothing is appended."""
+    columns = (names, ps, hs, pzs, cs, chs)
+    try:
+        scored = _columns(*columns)
+    except OverflowError:
+        for row in zip(*columns):
+            try:
+                _columns(*([value] for value in row))
+            except OverflowError:
+                raise ValidationError(f"{row[0]}: class scores exceed the float range") from None
+        raise
+    for stored, column in zip(table, scored):
         stored.extend(column)
-
-
-_CHUNK_ROWS = 4096  # rows scored at a time: the kernel's lists live for one chunk only
 
 
 def score_table(records: Iterable[SummaryRecord]) -> ScoreTable:
@@ -126,19 +133,8 @@ def score_table(records: Iterable[SummaryRecord]) -> ScoreTable:
     A class score past the float range is a ValidationError naming the
     first entity, in input order, whose scores exceed it."""
     table = empty_table()
-    rows = iter(records)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        columns = record_columns(chunk)
-        try:
-            add_rows(table, *columns)
-        except OverflowError:
-            for row in zip(*columns):
-                try:
-                    _columns(*([value] for value in row))
-                except OverflowError:
-                    raise ValidationError(
-                        f"{row[0]}: class scores exceed the float range") from None
-            raise
+    for columns in column_chunks(records):
+        add_rows(table, *columns)
     return table
 
 

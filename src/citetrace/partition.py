@@ -13,8 +13,9 @@ exact integer arithmetic on immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, ge, le, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -148,6 +149,21 @@ def record_columns(records: Sequence[SummaryRecord]) -> tuple[list, ...]:
     return ([r.name for r in records], [r.papers for r in records], [r.h for r in records],
             [r.uncited for r in records], [r.citations for r in records],
             [r.core_citations for r in records])
+
+
+_CHUNK_ROWS = 1024  # rows read, checked and scored at a time: a chunk's lists live that long only
+
+
+def chunks(rows: Iterable) -> Iterator[list]:
+    """The rows in lists of ``_CHUNK_ROWS``, in order; the last may be shorter."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield chunk
+
+
+def column_chunks(records: Iterable[SummaryRecord]) -> Iterator[tuple[list, ...]]:
+    """The records' ``chunks``, each as its columns (names, P, h, Pz, C, Ch)."""
+    return map(record_columns, chunks(records))
 
 
 def column_warnings(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],

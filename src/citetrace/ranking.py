@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from operator import neg
 from typing import Sequence
 
 from .errors import UnknownIndicator, ValidationError
@@ -14,9 +13,11 @@ __all__ = ["rank_entities", "rank_order"]
 def rank_order(values: Sequence[float], names: Sequence[str]) -> list[int]:
     """The positions of values, highest value first; ties on the value fall
     back to the name, ascending lexicographically, and then to input order.
-    Every ranking sorts with this key."""
-    keys = list(zip(map(neg, values), names))
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    Every ranking sorts this way: by name, then stably by value, which
+    builds no key tuple per row."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    order.sort(key=values.__getitem__, reverse=True)
+    return order
 
 
 def rank_entities(scores: Sequence[Scores], key: str = "T") -> list[Scores]:

@@ -365,27 +365,18 @@ def validate_corpus(corpus: ReferenceCorpus | None = None) -> ReferenceReport:
     revalidates against the override; the default is the embedded one.
     """
     corpus = corpus or reference_corpus()
-    checks: list[CellCheck] = []
-    tables = (("journals", corpus.golden_journals),
-              ("universities", corpus.golden_universities),
+    golden = (("journals", corpus.golden_journals), ("universities", corpus.golden_universities),
               ("authors", corpus.golden_authors))
-    computed = _computed_values(corpus, [row.name for _, rows in tables for row in rows]
-                                + [example.name for example in corpus.worked_examples])
-    for table, rows in tables:
-        for row in rows:
-            values = computed[row.name]
-            for cell, displayed in row.displayed.items():
-                checks.append(CellCheck(table=table, entity=row.name, cell=cell,
-                                        computed=values[cell], displayed=displayed,
-                                        passed=matches_displayed(values[cell], displayed)))
-    for example in corpus.worked_examples:
-        values = computed[example.name]
-        for cell, displayed in example.matrix.items():
-            checks.append(CellCheck(table="worked", entity=example.name, cell=cell,
-                                    computed=values[cell], displayed=displayed,
-                                    passed=matches_displayed(values[cell], displayed)))
-        for displayed in example.traces:
-            checks.append(CellCheck(table="worked", entity=example.name, cell="T",
-                                    computed=values["T"], displayed=displayed,
-                                    passed=matches_displayed(values["T"], displayed)))
+    # (table, entity, cell, displayed) in report order: the golden tables, then the worked examples
+    claims = [(table, row.name, cell, displayed) for table, rows in golden
+              for row in rows for cell, displayed in row.displayed.items()]
+    claims += [("worked", example.name, cell, displayed) for example in corpus.worked_examples
+               for cell, displayed in (*example.matrix.items(),
+                                       *(("T", trace) for trace in example.traces))]
+    computed = _computed_values(corpus, [entity for _, entity, _, _ in claims])
+    checks = []
+    for table, entity, cell, displayed in claims:
+        value = computed[entity][cell]
+        checks.append(CellCheck(table, entity, cell, value, displayed,
+                                matches_displayed(value, displayed)))
     return ReferenceReport(cells=tuple(checks))

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -15,6 +16,7 @@ from citetrace import (
     CitetraceError,
     ValidationError,
     dataset_to_json,
+    datasets,
     parse_summary_csv,
     plausibility_warnings,
     score_table,
@@ -540,20 +542,79 @@ class TestGroupOnFileInput:
         assert f"input file not found: {missing}" in result.stderr
 
 
+_COMMANDS = pytest.mark.parametrize("command", [
+    ["compute"], ["rank"], ["correlate"], ["plot-data", "--metric-file", "METRICS"],
+], ids=["compute", "rank", "correlate", "plot-data"])
+
+
 class TestNoRecords:
-    @pytest.mark.parametrize("command", [
-        ["compute"], ["rank"], ["correlate"], ["plot-data", "--metric-file", "METRICS"],
-    ], ids=["compute", "rank", "correlate", "plot-data"])
-    def test_same_one_line_error_on_every_command(self, runner, tmp_path, command):
-        data = tmp_path / "empty.csv"
-        data.write_text("name,P,h,Pz,C,Ch\n")
+    @staticmethod
+    def check(runner, tmp_path, command, name, data, options=()):
+        path = tmp_path / name
+        path.write_text(data)
         metrics = tmp_path / "metrics.csv"
         metrics.write_text("name,IF\nNature,1.0\n")
         args = [str(metrics) if a == "METRICS" else a for a in command]
-        result = runner.invoke(main, [*args, "--input", str(data)])
+        result = runner.invoke(main, [*args, "--input", str(path), *options])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: no records in input\n"
+
+    @_COMMANDS
+    def test_same_one_line_error_on_every_command(self, runner, tmp_path, command):
+        self.check(runner, tmp_path, command, "empty.csv", "name,P,h,Pz,C,Ch\n")
+
+    @pytest.mark.parametrize("name, data, options", [
+        ("empty.csv", "name,citations\n", ["--format", "citations"]),
+        ("empty.json", "[]", []),
+    ], ids=["citations", "json"])
+    @_COMMANDS
+    def test_same_error_for_every_format(self, runner, tmp_path, command, name, data, options):
+        self.check(runner, tmp_path, command, name, data, options)
+
+
+class TestOneRoute:
+    """Every input is scored a chunk of integer columns at a time.  A summary
+    CSV is parsed row by row only when a chunk of its rows fails the bulk
+    check, and then once; an empty file or an overflow never needs it."""
+
+    @pytest.mark.parametrize("rows, calls", [
+        ([], 0),
+        (["warned,10,2,1,8,5", f"huge,1,1,0,{10 ** 400},1"], 0),
+        (["a,10,2,1,20,5", "bad,20,x,2,50,9"], 1),
+    ], ids=["header-only", "overflow", "bad-row"])
+    def test_row_parse_calls(self, runner, tmp_path, rows, calls):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["name,P,h,Pz,C,Ch", *rows]) + "\n")
+        with mock.patch.object(datasets, "_parse_csv", wraps=datasets._parse_csv) as parse:
+            result = runner.invoke(main, ["compute", "--input", str(path)])
+        assert result.exit_code == 1
+        assert parse.call_count == calls
+
+    HUGE = 10 ** 400
+
+    # a summarized citation list is always plausible, so only the JSON file of
+    # summary objects has warnings
+    @pytest.mark.parametrize("name, data, options, warned", [
+        ("data.csv", f"name,citations\nA,3;2;1\nhuge,{HUGE}\nB,5;0\n",
+         ["--format", "citations"], []),
+        ("data.json", json.dumps([
+            {"name": "warned", "P": 10, "h": 2, "Pz": 1, "C": 8, "Ch": 5},
+            {"name": "huge", "P": 1, "h": 1, "Pz": 0, "C": HUGE, "Ch": 1},
+            {"name": "late", "P": 10, "h": 2, "Pz": 1, "C": 8, "Ch": 5}]), [],
+         ["warned", "huge", "late"]),
+    ], ids=["citations", "json"])
+    def test_overflow_is_named_after_every_warning(self, runner, tmp_path, name, data,
+                                                   options, warned):
+        path = tmp_path / name
+        path.write_text(data)
+        result = runner.invoke(main, ["compute", "--input", str(path), *options])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        *warnings, error = result.stderr.splitlines()
+        assert [line.split(": ")[1] for line in warnings] == warned
+        assert all(line.startswith("warning: ") for line in warnings)
+        assert error == "error: huge: class scores exceed the float range"
 
 
 class TestJsonNames:

@@ -24,7 +24,7 @@ from citetrace import (
     parse_summary_csv,
     summarize,
 )
-from citetrace import datasets
+from citetrace import datasets, partition
 from citetrace.datasets import summary_columns
 from citetrace.partition import record_columns
 
@@ -121,7 +121,7 @@ class TestSummaryColumns:
             assert all(chunks) and all(len(set(map(len, chunk))) == 1 for chunk in chunks)
             return tuple([value for chunk in chunks for value in chunk[k]] for k in range(6))
 
-        with mock.patch.object(datasets, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(partition, "_CHUNK_ROWS", chunk_rows):
             got = _outcome(columns)
         assert got == _outcome(lambda: record_columns(parse_summary_csv(data).records))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from citetrace import (
     SummaryRecord,
     ValidationError,
-    indicators,
+    partition,
     score,
     score_table,
     summarize,
@@ -281,7 +281,7 @@ class TestScoreTable:
                 expected.append(scores_row(record))
             except OverflowError:
                 expected.append(None)
-        with mock.patch.object(indicators, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(partition, "_CHUNK_ROWS", chunk_rows):
             if None in expected:
                 first = records[expected.index(None)].name
                 with pytest.raises(ValidationError,
@@ -316,7 +316,7 @@ class TestScoreTable:
         records[k] = SummaryRecord(f"e{k}", 1, 1, 0, 10 ** 400, 1)  # Y2 = C past the float range
         if k < 9:
             records[9] = SummaryRecord("e9", 10 ** 400, 1, 0, 3, 2)  # X2 past it, later
-        with mock.patch.object(indicators, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(partition, "_CHUNK_ROWS", chunk_rows):
             with pytest.raises(ValidationError,
                                match=f"^e{k}: class scores exceed the float range$"):
                 score_table(records)

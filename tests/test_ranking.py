@@ -1,5 +1,8 @@
 """Deterministic ranking: ordering, ties, filtering, key validation."""
 
+import math
+from array import array
+
 import pytest
 from click.testing import CliRunner
 from hypothesis import given
@@ -14,6 +17,7 @@ from citetrace import (
     summarize,
 )
 from citetrace.cli import main
+from citetrace.ranking import rank_order
 from citetrace.reference import matches_displayed, reference_corpus
 
 
@@ -110,3 +114,18 @@ def test_cli_rank_order_is_rank_entities_order(tmp_path, key):
     assert cli_names == [row.name for row in ranked]
     values = [getattr(row, key) for row in ranked]
     assert len(set(values)) < len(values)  # exact ties are ordered by name
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]) | st.floats(
+    allow_nan=False)
+_NAMES = st.sampled_from(["a", "b", "B", ""]) | st.text(max_size=3)
+
+
+@given(st.lists(st.tuples(_VALUES, _NAMES), max_size=60), st.booleans())
+def test_rank_order_is_the_key_tuple_sort(rows, as_array):
+    """Highest value first, then name, then input position: repeated values
+    and names, both zeros and the infinities included."""
+    values = [value for value, _ in rows]
+    names = [name for _, name in rows]
+    expected = sorted(range(len(rows)), key=lambda i: (-values[i], names[i], i))
+    assert rank_order(array("d", values) if as_array else values, names) == expected
