@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Sequence
 import click
 
 from .correlation import correlation_report
-from .datasets import MetricTable, parse_citations_csv, parse_json, parse_metric_csv, summary_columns
+from .datasets import (MetricTable, citation_columns, parse_json, parse_metric_csv,
+                       summary_columns)
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
 from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table
 from .partition import column_chunks, column_warnings
@@ -61,8 +62,8 @@ def _load_metrics(path_str: str) -> MetricTable:
 def _input_columns(input_: str, format_: str | None,
                    group: str | None) -> Iterator[tuple[list, ...]]:
     """The input's records, or those in group, as chunks of integer columns
-    (names, P, h, Pz, C, Ch): a summary CSV's read as its rows are, with
-    no record per row."""
+    (names, P, h, Pz, C, Ch): a summary or citations CSV's read as its rows
+    are, with no record per row."""
     if input_ in _CORPUS_INPUTS:
         records = _CORPUS_INPUTS[input_]().records
         if group is not None:
@@ -78,8 +79,9 @@ def _input_columns(input_: str, format_: str | None,
         format_ = "json" if Path(input_).suffix.lower() == ".json" else "summary"
     if format_ == "summary":
         return summary_columns(data)
-    parse = parse_json if format_ == "json" else parse_citations_csv
-    return column_chunks(parse(data).records)
+    if format_ == "citations":
+        return citation_columns(data)
+    return column_chunks(parse_json(data).records)
 
 
 def _scored(input_: str, format_: str | None, group: str | None,

@@ -52,7 +52,7 @@ _Exact = tuple[list[int], int, int]
 
 
 def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
-    fx, fy = [float(v) for v in x], [float(v) for v in y]
+    fx, fy = list(map(float, x)), list(map(float, y))
     _require_pair(fx, fy)
     _require_finite(fx)
     _require_finite(fy)
@@ -63,7 +63,10 @@ def _exact(column: list[float]) -> _Exact:
     """The finite column times its largest power-of-two denominator."""
     ratios = [v.as_integer_ratio() for v in column]
     bits = max(d for _, d in ratios).bit_length()
-    ints = [m << (bits - d.bit_length()) for m, d in ratios]
+    return _sums([m << (bits - d.bit_length()) for m, d in ratios])
+
+
+def _sums(ints: list[int]) -> _Exact:
     total = sum(ints)
     return ints, total, len(ints) * sum(map(operator.mul, ints, ints)) - total * total
 
@@ -86,21 +89,29 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _coefficient(_exact(fx), _exact(fy))
 
 
-def midranks(values: Sequence[float]) -> list[float]:
-    """Ranks 1..n with tied values sharing the average of their positions."""
-    v = [float(x) for x in values]
-    _require_finite(v)
-    ends = {x: i + 1 for i, x in enumerate(sorted(v))}  # ascending, one past each tie run
+def _doubled_ranks(values: list[float]) -> list[int]:
+    """Twice the midranks of finite values, as exact integers: a run of ties
+    at sorted positions start .. end-1 shares the midrank (start+end+1)/2."""
+    _require_finite(values)
+    ends = {x: i + 1 for i, x in enumerate(sorted(values))}  # ascending, one past each tie run
     rank, start = {}, 0
     for x, end in ends.items():  # x fills sorted positions start .. end-1
-        rank[x], start = 0.5 * (start + end + 1), end
-    return [rank[x] for x in v]
+        rank[x], start = start + end + 1, end
+    return [rank[x] for x in values]
 
 
+def midranks(values: Sequence[float]) -> list[float]:
+    """Ranks 1..n with tied values sharing the average of their positions."""
+    return [0.5 * r for r in _doubled_ranks(list(map(float, values)))]
+
+
+# rho comes from the doubled ranks: the exact column of the midranks is either
+# them or half of them, and _coefficient gives the same float for a column
+# scaled by a power of two.
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho: the Pearson correlation of the midranks."""
     fx, fy = _paired(x, y)
-    return _coefficient(_exact(midranks(fx)), _exact(midranks(fy)))
+    return _coefficient(_sums(_doubled_ranks(fx)), _sums(_doubled_ranks(fy)))
 
 
 def significance(r: float, n: int) -> float:
@@ -215,14 +226,14 @@ def correlation_report(columns: Sequence[tuple[str, Sequence[float]]]) -> Correl
     lengths = {len(values) for _, values in columns}
     if len(lengths) > 1:
         raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
-    floats = [[float(v) for v in values] for _, values in columns]
+    floats = [list(map(float, values)) for _, values in columns]
 
     @functools.cache
     def prepared(i: int) -> tuple[_Exact, _Exact]:
         # once per column, on the first pair that needs it, so that errors come
         # in the order per-pair pearson and spearman calls would raise them
-        ranks = midranks(floats[i])  # rejects NaN and infinity
-        return _exact(floats[i]), _exact(ranks)
+        ranks = _doubled_ranks(floats[i])  # rejects NaN and infinity
+        return _exact(floats[i]), _sums(ranks)
 
     pairs = []
     for i, j in itertools.combinations(range(len(columns)), 2):

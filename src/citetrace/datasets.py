@@ -3,16 +3,19 @@
 The summary CSV carries one five-number record per row under the exact
 header ``name,P,h,Pz,C,Ch``.  The citations CSV carries per-document
 counts as a semicolon-separated cell under ``name,citations``; each list
-is summarized as it is read, so every parser yields ``SummaryRecord``s.
-JSON mirrors either file format with the same field names.  The
-serializers write the summary form.  Parsed datasets are immutable;
-every record is validated before a dataset is accepted.
+is summarized to its five numbers as it is read.  JSON mirrors either
+file format with the same field names.  The serializers write the
+summary form.  Parsed datasets are immutable; every record is validated
+before a dataset is accepted.
 
-``summary_columns`` reads a summary CSV without a record per row: as
-chunks of integer columns, each checked as a whole, which the scoring
-kernel takes as they are.  Its errors are those of ``parse_summary_csv``.
-The chunks are those of ``partition.chunks``, which every reader and the
-scoring kernel share.
+The ``parse_*`` functions yield ``SummaryRecord``s.  ``summary_columns``
+and ``citation_columns`` read the two CSV formats without a record per
+row: as chunks of integer columns (names, P, h, Pz, C, Ch), each checked
+as a whole, which the scoring kernel takes as they are.  A chunk that
+fails its check is parsed row by row on its own, so their errors are
+those of ``parse_summary_csv`` and ``parse_citations_csv``.  The chunks
+are those of ``partition.chunks``, which every reader and the scoring
+kernel share.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import csv
 import io
 import math
 import re
-from itertools import islice
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import SummaryRecord, chunks, column_chunks, columns_valid, summarize
+from .partition import (SummaryRecord, chunks, columns_valid, ranked_summary, record_columns,
+                        summarize)
 
 __all__ = [
     "DatasetFile",
@@ -96,18 +99,25 @@ def _rows(data: Union[bytes, str]) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"row {reader.line_num}: {err}") from None
 
 
-def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], record,
-               source: str | None, window: str | None) -> DatasetFile:
-    """The row loop both record CSVs share: header, column count, stripped
-    and unique names; ``record(name, cells)`` builds each row's record, and
-    its errors gain the row number."""
-    reader = _rows(data)
-    _, first = next(reader, (0, None))
+def _body(data: Union[bytes, str], kind: str,
+          header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a record CSV after its header, as ``_rows`` gives them; a
+    ParseError unless the header is exactly header."""
+    rows = _rows(data)
+    _, first = next(rows, (0, None))
     if first is None or tuple(h.strip() for h in first) != header:
         raise ParseError(f"{kind} CSV header must be exactly {','.join(header)}")
+    return rows
+
+
+def _parse_csv(rows: Iterable[tuple[int, list[str]]], header: tuple[str, ...],
+               record: Callable[[str, list[str]], SummaryRecord],
+               seen: set[str]) -> list[SummaryRecord]:
+    """The row loop both record CSVs share: column count, and stripped names
+    unique against seen, which gains each; ``record(name, cells)`` builds
+    each row's record, and its errors gain the row number."""
     records: list[SummaryRecord] = []
-    seen: set[str] = set()
-    for line, row in reader:
+    for line, row in rows:
         if not row:
             continue
         if len(row) != len(header):
@@ -120,6 +130,13 @@ def _parse_csv(data: Union[bytes, str], kind: str, header: tuple[str, ...], reco
         except (ParseError, ValidationError) as err:
             raise type(err)(f"row {line}: {err}") from None
         seen.add(name)
+    return records
+
+
+def _dataset(data: Union[bytes, str], kind: str, header: tuple[str, ...], record,
+             source: str | None, window: str | None) -> DatasetFile:
+    """The records of a whole record CSV, parsed row by row."""
+    records = _parse_csv(_body(data, kind, header), header, record, set())
     return DatasetFile(format=f"{kind}-csv", records=tuple(records), source=source, window=window)
 
 
@@ -177,17 +194,28 @@ def _parse_counts(cell: str) -> list[int]:
         return counts
 
 
+def _citations_row(name: str, cells: list[str]) -> SummaryRecord:
+    return summarize(_parse_counts(cells[0]), name)
+
+
 def parse_summary_csv(data: Union[bytes, str], source: str | None = None,
                       window: str | None = None) -> DatasetFile:
     """Parse five-number summary records; strict validation per row."""
-    return _parse_csv(data, "summary", SUMMARY_HEADER, _summary_row, source, window)
+    return _dataset(data, "summary", SUMMARY_HEADER, _summary_row, source, window)
+
+
+def parse_citations_csv(data: Union[bytes, str], source: str | None = None,
+                        window: str | None = None) -> DatasetFile:
+    """Parse per-document citation counts (semicolon-separated cell) and
+    summarize each row's list as it is read."""
+    return _dataset(data, "citations", CITATIONS_HEADER, _citations_row, source, window)
 
 
 class _Rejected(Exception):
-    """A bulk check of summary rows failed; the row-by-row parse says why."""
+    """A bulk check of CSV rows failed; the row-by-row parse says why."""
 
 
-def _checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
+def _summary_checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
     """The columns (names, P, h, Pz, C, Ch) of non-blank summary CSV rows,
     converted and checked a column at a time, the names against seen too;
     _Rejected when a row may be bad."""
@@ -206,38 +234,78 @@ def _checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
     return (names, *counts)
 
 
-def summary_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
-    """The rows of a summary CSV as chunks of columns (names, P, h, Pz, C,
+def _citations_checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
+    """The columns (names, P, h, Pz, C, Ch) of non-blank citations CSV rows:
+    each list converted in one map(int) call and summarized highest first,
+    the names checked against seen too; _Rejected when a row may be bad.
+    A list of counts >= 0 under a new, non-blank name always gives a valid
+    summary, so nothing else is checked."""
+    if set(map(len, rows)) != {len(CITATIONS_HEADER)}:
+        raise _Rejected
+    names, cells = zip(*rows)
+    names = list(map(str.strip, names))
+    if not (all(names) and len(set(names)) == len(names) and seen.isdisjoint(names)):
+        raise _Rejected
+    summaries = []
+    for cell in cells:
+        try:
+            counts = sorted(map(int, cell.split(";")), reverse=True)
+        except ValueError:
+            raise _Rejected from None
+        if counts[-1] < 0:
+            raise _Rejected
+        summaries.append(ranked_summary(counts))
+    seen.update(names)
+    return (names, *map(list, zip(*summaries)))
+
+
+def _line_chunks(data: Union[bytes, str], kind: str, header: tuple[str, ...],
+                 record) -> Iterator[list[tuple[int, list[str]]]]:
+    """The ``chunks`` of a record CSV's rows after its header.  A row that
+    the csv module rejects leaves the rows before it in its chunk
+    unchecked, so the whole file is then parsed row by row, which names the
+    first error in input order."""
+    try:
+        yield from chunks(_body(data, kind, header))
+    except ParseError:
+        _parse_csv(_body(data, kind, header), header, record, set())
+        raise
+
+
+def _columns(data: Union[bytes, str], kind: str, header: tuple[str, ...], record,
+             checked) -> Iterator[tuple[list, ...]]:
+    """The rows of a record CSV as chunks of columns (names, P, h, Pz, C,
     Ch), in input order, with no record per row.
 
-    Each chunk is checked as a whole before it is yielded.  These checks
-    are only a guard: when one fails, ``parse_summary_csv`` parses the file
-    row by row and raises its first error, in input order, with the same
-    text; if it finds none, its records give the remaining columns."""
-    rows = _rows(data)
+    ``checked(rows, seen)`` converts and checks a chunk's non-blank rows as
+    a whole before it is yielded.  Its checks are only a guard: a chunk
+    that fails them is parsed row by row on its own, with the names seen so
+    far, which raises the chunk's first error with the text of the
+    whole-file parse, or gives its columns; the next chunk is checked as a
+    whole again."""
     seen: set[str] = set()
-    done = 0
-    try:
-        _, header = next(rows, (0, None))
-        if header is None or tuple(h.strip() for h in header) != SUMMARY_HEADER:
-            raise _Rejected
-        for lines in chunks(rows):
-            chunk = [row for _, row in lines if row]
-            if chunk:
-                columns = _checked(chunk, seen)
-                done += len(chunk)
-                yield columns
-    except (_Rejected, ParseError):  # ParseError: text not UTF-8, or a row csv rejects
-        yield from column_chunks(islice(parse_summary_csv(data).records, done, None))
+    for lines in _line_chunks(data, kind, header, record):
+        rows = [row for _, row in lines if row]
+        if rows:
+            try:
+                columns = checked(rows, seen)
+            except _Rejected:
+                columns = record_columns(_parse_csv(lines, header, record, seen))
+            yield columns
 
 
-def parse_citations_csv(data: Union[bytes, str], source: str | None = None,
-                        window: str | None = None) -> DatasetFile:
-    """Parse per-document citation counts (semicolon-separated cell) and
-    summarize each row's list as it is read."""
-    return _parse_csv(data, "citations", CITATIONS_HEADER,
-                      lambda name, cells: summarize(_parse_counts(cells[0]), name),
-                      source, window)
+def summary_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
+    """The rows of a summary CSV as chunks of columns (names, P, h, Pz, C,
+    Ch), with no record per row; the errors are those of
+    ``parse_summary_csv``."""
+    return _columns(data, "summary", SUMMARY_HEADER, _summary_row, _summary_checked)
+
+
+def citation_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
+    """The summaries of a citations CSV as chunks of columns (names, P, h,
+    Pz, C, Ch), with no record per row; the errors are those of
+    ``parse_citations_csv``."""
+    return _columns(data, "citations", CITATIONS_HEADER, _citations_row, _citations_checked)
 
 
 def _json_counts(cell) -> list[int]:
@@ -334,7 +402,7 @@ def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
         if name in rows:
             raise DuplicateEntity(f"row {line}: duplicate entity {name!r}")
         try:
-            values = tuple(float(cell) for cell in row[1:])
+            values = tuple(map(float, row[1:]))
         except ValueError:
             raise ParseError(f"row {line}: metric values must be numeric") from None
         if not all(math.isfinite(v) for v in values):

@@ -118,14 +118,19 @@ def summarize(counts: Iterable[int], name: str = "anonymous") -> SummaryRecord:
         for c in ranked:
             _require_count(c, f"{name}: citation count")
     ranked.sort(reverse=True)
+    return SummaryRecord(name, *ranked_summary(ranked))
+
+
+def ranked_summary(ranked: list[int]) -> tuple[int, int, int, int, int]:
+    """(P, h, Pz, C, Ch) of a non-empty list of citation counts >= 0 sorted
+    highest first."""
     h = 0
     for rank, cites in enumerate(ranked, start=1):
         if cites >= rank:
             h = rank
         else:
             break
-    return SummaryRecord(name=name, papers=len(ranked), h=h, uncited=ranked.count(0),
-                         citations=sum(ranked), core_citations=sum(ranked[:h]))
+    return len(ranked), h, ranked.count(0), sum(ranked), sum(ranked[:h])
 
 
 def columns_valid(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],

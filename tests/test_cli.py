@@ -124,7 +124,8 @@ def _matches_snapshot(runner, monkeypatch, snapshot):
 
 
 def test_manifest_names_every_snapshot():
-    inputs = {"citations_small.csv", "metrics_small.csv", "summary_small.csv", "snapshots.json"}
+    inputs = {"citations_edge.csv", "citations_small.csv", "metrics_small.csv",
+              "summary_small.csv", "snapshots.json"}
     assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS)
 
 
@@ -575,19 +576,24 @@ class TestNoRecords:
 
 class TestOneRoute:
     """Every input is scored a chunk of integer columns at a time.  A summary
-    CSV is parsed row by row only when a chunk of its rows fails the bulk
-    check, and then once; an empty file or an overflow never needs it."""
+    or citations CSV is parsed row by row only when a chunk of its rows
+    fails the bulk check, and then once; an empty file or an overflow never
+    needs it."""
 
-    @pytest.mark.parametrize("rows, calls", [
-        ([], 0),
-        (["warned,10,2,1,8,5", f"huge,1,1,0,{10 ** 400},1"], 0),
-        (["a,10,2,1,20,5", "bad,20,x,2,50,9"], 1),
-    ], ids=["header-only", "overflow", "bad-row"])
-    def test_row_parse_calls(self, runner, tmp_path, rows, calls):
+    @pytest.mark.parametrize("header, rows, options, calls", [
+        ("name,P,h,Pz,C,Ch", [], [], 0),
+        ("name,P,h,Pz,C,Ch", ["warned,10,2,1,8,5", f"huge,1,1,0,{10 ** 400},1"], [], 0),
+        ("name,P,h,Pz,C,Ch", ["a,10,2,1,20,5", "bad,20,x,2,50,9"], [], 1),
+        ("name,citations", [], ["--format", "citations"], 0),
+        ("name,citations", ["a,3;2;1", f"huge,{10 ** 400}"], ["--format", "citations"], 0),
+        ("name,citations", ["a,3;2;1", "bad,4;x"], ["--format", "citations"], 1),
+    ], ids=["header-only", "overflow", "bad-row", "citations-header-only",
+            "citations-overflow", "citations-bad-row"])
+    def test_row_parse_calls(self, runner, tmp_path, header, rows, options, calls):
         path = tmp_path / "data.csv"
-        path.write_text("\n".join(["name,P,h,Pz,C,Ch", *rows]) + "\n")
+        path.write_text("\n".join([header, *rows]) + "\n")
         with mock.patch.object(datasets, "_parse_csv", wraps=datasets._parse_csv) as parse:
-            result = runner.invoke(main, ["compute", "--input", str(path)])
+            result = runner.invoke(main, ["compute", "--input", str(path), *options])
         assert result.exit_code == 1
         assert parse.call_count == calls
 

@@ -329,12 +329,13 @@ class TestCorrelationReport:
 
     def test_each_column_ranked_once(self, monkeypatch):
         calls = []
+        ranks = citetrace.correlation._doubled_ranks
 
         def counting(values):
             calls.append(len(values))
-            return midranks(values)
+            return ranks(values)
 
-        monkeypatch.setattr(citetrace.correlation, "midranks", counting)
+        monkeypatch.setattr(citetrace.correlation, "_doubled_ranks", counting)
         columns = [(f"c{i}", tuple(float(v) for v in range(i, i + 10))) for i in range(6)]
         report = correlation_report(columns)
         assert len(report.pairs) == 15

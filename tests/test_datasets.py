@@ -25,7 +25,7 @@ from citetrace import (
     summarize,
 )
 from citetrace import datasets, partition
-from citetrace.datasets import summary_columns
+from citetrace.datasets import citation_columns, summary_columns
 from citetrace.partition import record_columns
 
 SUMMARY = "name,P,h,Pz,C,Ch\nJ Informetr,105,18,5,1132,574\nYe FY,25,5,9,72,51\n"
@@ -106,6 +106,13 @@ def _outcome(parse):
         return type(err), str(err)
 
 
+def _joined(chunks):
+    """The chunks of columns joined into one set of columns."""
+    chunks = list(chunks)
+    assert all(chunks) and all(len(set(map(len, chunk))) == 1 for chunk in chunks)
+    return tuple([value for chunk in chunks for value in chunk[k]] for k in range(6))
+
+
 class TestSummaryColumns:
     """summary_columns against the row-by-row parse: the same columns, or the
     same first error, for any chunk size."""
@@ -115,14 +122,8 @@ class TestSummaryColumns:
            st.sampled_from(["\n", "\r\n"]))
     def test_columns_or_error_equal_the_row_parse(self, lines, chunk_rows, newline):
         data = newline.join(["name,P,h,Pz,C,Ch", *lines]) + newline
-
-        def columns():
-            chunks = list(summary_columns(data))
-            assert all(chunks) and all(len(set(map(len, chunk))) == 1 for chunk in chunks)
-            return tuple([value for chunk in chunks for value in chunk[k]] for k in range(6))
-
         with mock.patch.object(partition, "_CHUNK_ROWS", chunk_rows):
-            got = _outcome(columns)
+            got = _outcome(lambda: _joined(summary_columns(data)))
         assert got == _outcome(lambda: record_columns(parse_summary_csv(data).records))
 
     @pytest.mark.parametrize("data", ["", "name,P,h\n", "name,P,h,Pz,C,Ch\n\n\n",
@@ -130,6 +131,89 @@ class TestSummaryColumns:
     def test_header_text_and_empty_files(self, data):
         assert _outcome(lambda: list(summary_columns(data))) == _outcome(
             lambda: [] if not parse_summary_csv(data).records else None)
+
+
+@st.composite
+def citations_line(draw, i: int) -> str:
+    """Citations CSV row i: most are valid, the rest break one rule or another
+    (column count, name, a count's text, its sign, an empty list) or are blank."""
+    name = f"e{i}"
+    if draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(["", " ", "e0", " e1 ", '"d,e"', '"d,e"']))
+    counts = [str(c) for c in draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))]
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(counts) - 1))
+        counts[i] = draw(st.sampled_from([" 7 ", "\x1c3\x1f", "+3", "3_0", "-1", "", "x",
+                                          "9" * 4301, str(10 ** 400)]))
+    cells = [";".join(counts)]
+    if draw(st.integers(0, 7)) == 0:
+        cells = [draw(st.sampled_from(["", " ", "0;0;0", "-2;-1", "4;4;4;4"]))]
+    if draw(st.integers(0, 11)) == 0:
+        cells = draw(st.sampled_from([[], [*cells, "2"]]))
+    return ",".join([name, *cells]) if cells or name else ""
+
+
+citations_files = st.integers(0, 10).flatmap(
+    lambda n: st.tuples(*(citations_line(i) for i in range(n))))
+
+
+class TestCitationColumns:
+    """citation_columns against the row-by-row parse: the same columns, or the
+    same first error, for any chunk size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(citations_files, st.sampled_from([1, 2, 3, 1024]),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_columns_or_error_equal_the_row_parse(self, lines, chunk_rows, newline):
+        data = newline.join(["name,citations", *lines]) + newline
+        with mock.patch.object(partition, "_CHUNK_ROWS", chunk_rows):
+            got = _outcome(lambda: _joined(citation_columns(data)))
+        assert got == _outcome(lambda: record_columns(parse_citations_csv(data).records))
+
+    @pytest.mark.parametrize("data", ["", "name,citations,x\n", "name,citations\n\n\n",
+                                      b"name,citations\nA\xff,2;1\n"])
+    def test_header_text_and_empty_files(self, data):
+        assert _outcome(lambda: list(citation_columns(data))) == _outcome(
+            lambda: [] if not parse_citations_csv(data).records else None)
+
+
+class TestRejectedChunk:
+    """A chunk that fails the bulk check is parsed row by row on its own;
+    the chunks after it are checked in bulk again."""
+
+    @pytest.mark.parametrize("read, header, row, padded", [
+        (summary_columns, "name,P,h,Pz,C,Ch", "e{},3,1,0,2,1", "p,\x1c3,1,0,2,1"),
+        (citation_columns, "name,citations", "e{},3;1;0", "p,\x1c3;1;0"),
+    ], ids=["summary", "citations"])
+    def test_only_the_rejected_chunk_is_parsed_row_by_row(self, read, header, row, padded):
+        rows = [row.format(i) for i in range(9)]
+        rows[4] = padded
+        data = "\n".join([header, *rows]) + "\n"
+        with mock.patch.object(partition, "_CHUNK_ROWS", 3), \
+                mock.patch.object(datasets, "_parse_csv", wraps=datasets._parse_csv) as parse:
+            columns = _joined(read(data))
+        assert columns[0] == [f"e{i}" if i != 4 else "p" for i in range(9)]
+        assert parse.call_count == 1
+        assert [line for line, _ in parse.call_args.args[0]] == [5, 6, 7]
+
+    @pytest.mark.parametrize("parse, read, data", [
+        (parse_summary_csv, summary_columns,
+         'name,P,h,Pz,C,Ch\na,3,1,0,2,1\nb,3,1,0,2,1\nc,0,0,0,0,0\nd,"2"3,1,0,2,1\n'),
+        (parse_summary_csv, summary_columns,
+         'name,P,h,Pz,C,Ch\na,3,1,0,2,1\nb,3,1,0,2,1\nc,"2"3,1,0,2,1\nd,0,0,0,0,0\n'),
+        (parse_citations_csv, citation_columns,
+         'name,citations\na,3;1\nb,3;1\nc,4;-1\nd,"2"3\n'),
+        (parse_citations_csv, citation_columns,
+         'name,citations\na,3;1\nb,3;1\nc,"2"3\nd,4;-1\n'),
+    ], ids=["summary-bad-row-first", "summary-csv-error-first", "citations-bad-row-first",
+            "citations-csv-error-first"])
+    def test_a_row_the_csv_module_rejects_comes_in_input_order(self, monkeypatch, parse, read,
+                                                               data):
+        # a strict reader stands in for a reader error, as in TestParseCitationsCsv
+        monkeypatch.setattr(csv, "reader", functools.partial(csv.reader, strict=True))
+        monkeypatch.setattr(partition, "_CHUNK_ROWS", 2)  # rows 4 and 5 make the second chunk
+        got = _outcome(lambda: _joined(read(data)))
+        assert got == _outcome(lambda: parse(data)) and got[1].startswith("row 4: ")
 
 
 class TestRowsOfBytes:
