@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,12 @@ SNAPSHOTS = json.loads((DATA / "snapshots.json").read_text())
 # precision): any change to a float's evaluation order shows up here.
 CSV_SNAPSHOTS = sorted(name for name, args in SNAPSHOTS.items()
                        if args[0] in ("compute", "rank") and "csv" in args)
+# The --help of the group and of every command, and two usage errors, as the
+# installed script prints them on an 80-column terminal: file -> argv.
+USAGE_SNAPSHOTS = json.loads((DATA / "usage_snapshots.json").read_text())
+
+# The installed console script runs exactly this.
+ENTRY = "import sys; from citetrace.cli import main; sys.exit(main(prog_name='citetrace'))"
 
 
 @pytest.fixture
@@ -124,9 +131,9 @@ def _matches_snapshot(runner, monkeypatch, snapshot):
 
 
 def test_manifest_names_every_snapshot():
-    inputs = {"citations_edge.csv", "citations_small.csv", "metrics_small.csv",
-              "summary_small.csv", "snapshots.json"}
-    assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS)
+    inputs = {"cafe.csv", "citations_edge.csv", "citations_small.csv", "metrics_small.csv",
+              "summary_small.csv", "snapshots.json", "usage_snapshots.json"}
+    assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS) | set(USAGE_SNAPSHOTS)
 
 
 @pytest.mark.parametrize("snapshot", CSV_SNAPSHOTS)
@@ -140,6 +147,34 @@ def test_csv_output_matches_snapshot(runner, monkeypatch, snapshot):
 @pytest.mark.parametrize("snapshot", sorted(set(SNAPSHOTS) - set(CSV_SNAPSHOTS)))
 def test_json_and_table_output_match_snapshot(runner, monkeypatch, snapshot):
     _matches_snapshot(runner, monkeypatch, snapshot)
+
+
+@pytest.mark.parametrize("snapshot", sorted(USAGE_SNAPSHOTS))
+def test_help_and_usage_errors_match_snapshot(snapshot):
+    """Help goes to stdout with exit 0; a usage error to stderr with exit 2."""
+    args = USAGE_SNAPSHOTS[snapshot]
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *args], capture_output=True, timeout=60,
+                          cwd=DATA.parent.parent, env={**os.environ, "COLUMNS": "80"})
+    frozen = (DATA / snapshot).read_bytes()
+    if "--help" in args:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, frozen, b"")
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", frozen)
+
+
+@pytest.mark.parametrize("env", [{"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"},
+                                 {"PYTHONIOENCODING": "ascii"}], ids=["C.UTF-8", "C", "ascii"])
+def test_non_ascii_names_are_written_as_utf8(env):
+    """Whatever the locale or the streams' encoding, a name goes out as
+    UTF-8: in the report and in the warnings."""
+    inherited = {k: v for k, v in os.environ.items()
+                 if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *SNAPSHOTS["compute_cafe.csv"]],
+                          capture_output=True, timeout=60, cwd=DATA.parent.parent,
+                          env={**inherited, **env})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "compute_cafe.csv").read_bytes()
+    assert proc.stderr.startswith("warning: Zoë: ".encode()) and proc.stderr.count(b"\n") == 1
 
 
 class TestRank:
