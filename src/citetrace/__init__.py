@@ -49,17 +49,28 @@ from .partition import (
     summarize,
 )
 from .ranking import rank_entities
-from .reference import (
-    ReferenceCorpus,
-    ReferenceReport,
-    journals_dataset,
-    matches_displayed,
-    reference_corpus,
-    units_dataset,
-    validate_corpus,
-)
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562): only the bundled corpus needs the
+# reference module, and importing it costs more than any other module.
+_REFERENCE_NAMES = {
+    "ReferenceCorpus",
+    "ReferenceReport",
+    "journals_dataset",
+    "matches_displayed",
+    "reference_corpus",
+    "units_dataset",
+    "validate_corpus",
+}
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE_NAMES:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SummaryRecord",

@@ -4,21 +4,24 @@ Output is fully deterministic: identical inputs and flags produce
 byte-identical bytes (no timestamps, '.' as the decimal point).  Human
 tables round to a configurable number of significant figures; csv and
 json output never rounds.  Exit codes: 0 success, 1 validation or
-comparison failure, 2 usage error.
+comparison failure, 2 usage error.  Names and other text are written
+byte for byte as given, escape sequences included; a stream whose
+encoding is ASCII gets UTF-8.
 """
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import csv
 import io
 import math
+import os
 import re
 import sys
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import click
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .correlation import correlation_report
 from .datasets import (MetricTable, citation_columns, parse_json, parse_metric_csv,
@@ -27,15 +30,38 @@ from .errors import CitetraceError, JoinError, ParseError, ValidationError
 from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table
 from .partition import column_chunks, column_warnings
 from .ranking import rank_order
-from .reference import journals_dataset, units_dataset, validate_corpus
 
 _FORMATS = ("summary", "citations", "json")
 _OUTPUTS = ("table", "csv", "json")
+# The bundled inputs: the citetrace.reference function that loads each.
 _CORPUS_INPUTS = {
-    "corpus": journals_dataset,
-    "corpus:journals": journals_dataset,
-    "corpus:units": units_dataset,
+    "corpus": "journals_dataset",
+    "corpus:journals": "journals_dataset",
+    "corpus:units": "units_dataset",
 }
+
+
+class UsageError(Exception):
+    """A command line that cannot run: printed after the usage, exit code 2."""
+
+
+def _emit(stream: TextIO, chunks: Iterable[str]) -> None:
+    """Write text to a standard stream as given.  A stream whose encoding
+    is ASCII gets the text as UTF-8 with any character UTF-8 cannot hold
+    replaced, as click wrote it, instead of an encoding error."""
+    buffer = getattr(stream, "buffer", None)
+    try:
+        ascii_stream = codecs.lookup(getattr(stream, "encoding", None) or "ascii").name == "ascii"
+    except LookupError:
+        ascii_stream = False
+    if buffer is None or not ascii_stream:
+        for chunk in chunks:
+            stream.write(chunk)
+        return
+    stream.flush()
+    for chunk in chunks:
+        buffer.write(chunk.encode("utf-8", "replace"))
+    buffer.flush()
 
 
 def _read(path_str: str, what: str) -> bytes:
@@ -44,10 +70,10 @@ def _read(path_str: str, what: str) -> bytes:
     path = Path(path_str)
     try:
         if not path.is_file():
-            raise click.UsageError(f"{what} not found: {path_str}")
+            raise UsageError(f"{what} not found: {path_str}")
         return path.read_bytes()
     except OSError as err:  # is_file raises on some errors too, such as a too-long name
-        raise click.UsageError(f"{what} not readable: {path_str} ({err.strerror or err})") from None
+        raise UsageError(f"{what} not readable: {path_str} ({err.strerror or err})") from None
 
 
 def _load_metrics(path_str: str) -> MetricTable:
@@ -65,7 +91,9 @@ def _input_columns(input_: str, format_: str | None,
     (names, P, h, Pz, C, Ch): a summary or citations CSV's read as its rows
     are, with no record per row."""
     if input_ in _CORPUS_INPUTS:
-        records = _CORPUS_INPUTS[input_]().records
+        from . import reference  # here: no file input needs the bundled corpus
+
+        records = getattr(reference, _CORPUS_INPUTS[input_])().records
         if group is not None:
             wanted = group.lower()
             records = [r for r in records if r.group and r.group.lower() == wanted]
@@ -108,30 +136,27 @@ def _scored(input_: str, format_: str | None, group: str | None,
 
 
 def _warn(warnings: Iterable[tuple[str, str]]) -> None:
-    for name, warning in warnings:
-        click.echo(f"warning: {name}: {warning}", err=True)
+    _emit(sys.stderr, (f"warning: {name}: {warning}\n" for name, warning in warnings))
+
+
+# A table value whose fixed-notation text would be longer than this many
+# characters is written in exponent notation.  p-values of 1e-105 still fit.
+_FIXED_WIDTH = 128
 
 
 def _format_sig(value: float, figures: int) -> str:
-    """Fixed-notation rounding to significant figures (tables only)."""
+    """Rounding to significant figures (tables only): fixed notation up to
+    ``_FIXED_WIDTH`` characters, else exponent notation."""
     if value == 0 or not math.isfinite(value):
         return str(value)
     digits = figures - 1 - math.floor(math.log10(abs(value)))
-    if digits > 0:
-        # formatting rounds the exact binary value half to even, as round() would
-        return "%.*f" % (digits, value)
-    # Round to a multiple of 10**-digits, half to even, in integers: round()
-    # raises OverflowError when the result passes the float maximum.
-    scale = 10 ** -digits
-    num, den = value.as_integer_ratio()
-    quotient, rest = divmod(num, den * scale)
-    if 2 * rest > den * scale or (2 * rest == den * scale and quotient % 2):
-        quotient += 1
-    rounded = quotient * scale
-    try:
-        return f"{float(rounded):.0f}"
-    except OverflowError:
-        return str(rounded)
+    if figures - digits <= _FIXED_WIDTH:  # at most that many digits before the point
+        # Both round the exact binary value half to even; a value this small
+        # cannot round past the float maximum.
+        text = "%.*f" % (digits, value) if digits > 0 else "%.0f" % round(value, digits)
+        if len(text) <= _FIXED_WIDTH:
+            return text
+    return "%.*e" % (figures - 1, value)
 
 
 _BLOCK_ROWS = 1024  # report rows encoded and written per chunk
@@ -258,24 +283,16 @@ def _write_json(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Ite
     yield "[]\n" if separator == "[\n" else "\n]\n"
 
 
-def _echo(chunks: Iterable[str]) -> None:
-    """Write a report to stdout chunk by chunk.  Every chunk ends at a row
-    boundary, so click's stripping of ANSI sequences on a non-tty stdout
-    gives the bytes it would give for the whole report in one echo."""
-    for chunk in chunks:
-        click.echo(chunk, nl=False)
-
-
 def _echo_report(output: str, headers: Sequence[str], blocks: Iterable[list[Sequence]],
                  figures: int) -> None:
     """Write a report block by block; callers pass blocks of rows that are
     already validated and scored, so an error never leaves partial output."""
     if output == "table":
-        _echo(_write_table(headers, blocks, figures))
+        _emit(sys.stdout, _write_table(headers, blocks, figures))
     elif output == "csv":
-        _echo(_write_csv(headers, blocks))
+        _emit(sys.stdout, _write_csv(headers, blocks))
     else:
-        _echo(_write_json(headers, blocks))
+        _emit(sys.stdout, _write_json(headers, blocks))
 
 
 # The report columns of a ScoreTable: every field, or under --mask-x3 every field but X3.
@@ -283,43 +300,60 @@ _ALL = range(len(ScoreTable._fields))
 _MASKED = [i for i in _ALL if ScoreTable._fields[i] != "X3"]
 
 
-class _Command(click.Command):
-    """Maps domain errors to exit code 1 and usage errors to 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except CitetraceError as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(1)
-
-
-@click.group()
-def main() -> None:
-    """h-index core/tail analytics: performance matrices and academic traces."""
+def _choice(choices: Sequence[str]) -> Callable[[str], str]:
+    """The check of an option whose value is one of choices."""
+    def check(value: str) -> str:
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"{value!r} is not one of {', '.join(map(repr, choices))}.")
+        return value
+    return check
 
 
-_input_option = click.option("--input", "input_", required=True, metavar="PATH",
-                             help="Dataset path, or corpus / corpus:units for the bundled data.")
-_format_option = click.option("--format", "format_", type=click.Choice(_FORMATS), default=None,
-                              help="Input format (default: by file extension; csv means summary).")
-_output_option = click.option("--output", type=click.Choice(_OUTPUTS), default="table",
-                              show_default=True, help="Report format.")
-_group_option = click.option("--group", default=None, metavar="NAME",
-                             help="Keep only records tagged with this group (e.g. LIS).")
-_mask_option = click.option("--mask-x3", is_flag=True,
-                            help="Drop the X3 column from the report (never from the trace).")
-_precision_option = click.option("--precision", type=click.IntRange(1, 17), default=4,
-                                 show_default=True, help="Significant figures in table output.")
+def _figures(text: str) -> int:
+    """The check of --precision: an integer from 1 to 17."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
+    if not 1 <= value <= 17:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range 1<=x<=17.")
+    return value
 
 
-@main.command(cls=_Command)
-@_input_option
-@_format_option
-@_output_option
-@_group_option
-@_mask_option
-@_precision_option
+# Each option as (flags, argparse.add_argument keywords).
+_INPUT = ("--input",), dict(
+    dest="input_", required=True, metavar="PATH",
+    help="Dataset path, or corpus / corpus:units for the bundled data.  [required]")
+_FORMAT = ("--format",), dict(
+    dest="format_", type=_choice(_FORMATS), metavar=f"[{'|'.join(_FORMATS)}]",
+    help="Input format (default: by file extension; csv means summary).")
+_OUTPUT = ("--output",), dict(type=_choice(_OUTPUTS), default="table",
+                              metavar=f"[{'|'.join(_OUTPUTS)}]",
+                              help="Report format.  [default: table]")
+_GROUP = ("--group",), dict(metavar="NAME",
+                            help="Keep only records tagged with this group (e.g. LIS).")
+_MASK = ("--mask-x3",), dict(action="store_true",
+                             help="Drop the X3 column from the report (never from the trace).")
+_PRECISION = ("--precision",), dict(type=_figures, default=4, metavar="INTEGER RANGE",
+                                    help="Significant figures in table output.  "
+                                         "[default: 4; 1<=x<=17]")
+_POSITIVE = ("--positive-only",), dict(action="store_true",
+                                       help="Keep only entities with T > 0.")
+
+# Every command by name: its function, its usage after the program name
+# and its options.  The function's docstring is the command's help.
+_COMMANDS: dict[str, tuple[Callable[..., int | None], str, tuple]] = {}
+
+
+def _command(name: str, *options: tuple, usage: str = "[OPTIONS]"):
+    def register(function):
+        _COMMANDS[name] = (function, usage, options)
+        return function
+    return register
+
+
+@_command("compute", _INPUT, _FORMAT, _OUTPUT, _GROUP, _MASK, _PRECISION)
 def compute(input_, format_, output, group, mask_x3, precision) -> None:
     """Per-entity matrix entries, trace, h, I3X, I3Y and the sign flag."""
     table = _scored(input_, format_, group, warn=True)
@@ -328,16 +362,11 @@ def compute(input_, format_, output, group, mask_x3, precision) -> None:
                  precision)
 
 
-@main.command(cls=_Command)
-@_input_option
-@_format_option
-@_output_option
-@_group_option
-@click.option("--key", type=click.Choice(INDICATOR_KEYS), default="T", show_default=True,
-              help="Indicator to sort by (descending).")
-@click.option("--positive-only", is_flag=True, help="Keep only entities with T > 0.")
-@_mask_option
-@_precision_option
+@_command("rank", _INPUT, _FORMAT, _OUTPUT, _GROUP,
+          (("--key",), dict(type=_choice(INDICATOR_KEYS), default="T",
+                            metavar=f"[{'|'.join(INDICATOR_KEYS)}]",
+                            help="Indicator to sort by (descending).  [default: T]")),
+          _POSITIVE, _MASK, _PRECISION)
 def rank(input_, format_, output, group, key, positive_only, mask_x3, precision) -> None:
     """Rank entities by an indicator; ties break by name."""
     table = _scored(input_, format_, group)
@@ -355,13 +384,11 @@ def _join_metrics(names: Sequence[str], metrics: MetricTable | None):
     if metrics is None:
         return range(len(names)), {}
     matched = [i for i, name in enumerate(names) if name in metrics.rows]
-    for name in names:
-        if name not in metrics.rows:
-            click.echo(f"warning: no metric row for entity {name!r}", err=True)
+    _emit(sys.stderr, (f"warning: no metric row for entity {name!r}\n"
+                       for name in names if name not in metrics.rows))
     matched_names = {names[i] for i in matched}
-    for name in metrics.rows:
-        if name not in matched_names:
-            click.echo(f"warning: metric row {name!r} matches no entity", err=True)
+    _emit(sys.stderr, (f"warning: metric row {name!r} matches no entity\n"
+                       for name in metrics.rows if name not in matched_names))
     if not matched:
         raise JoinError("no entity names in common between dataset and metric file")
     metric_columns = {
@@ -371,15 +398,12 @@ def _join_metrics(names: Sequence[str], metrics: MetricTable | None):
     return matched, metric_columns
 
 
-@main.command(cls=_Command)
-@_input_option
-@_format_option
-@_output_option
-@_group_option
-@click.option("--metric-file", default=None, metavar="PATH",
-              help="CSV of external per-entity metrics (header: name,<metric>...).")
-@_precision_option
-@click.argument("columns", nargs=-1)
+@_command("correlate", _INPUT, _FORMAT, _OUTPUT, _GROUP,
+          (("--metric-file",), dict(
+              metavar="PATH",
+              help="CSV of external per-entity metrics (header: name,<metric>...).")),
+          _PRECISION, (("columns",), dict(nargs="*", help=argparse.SUPPRESS)),
+          usage="[OPTIONS] [COLUMNS]...")
 def correlate(input_, format_, output, group, metric_file, precision, columns) -> None:
     """Pearson and Spearman correlations between indicator/metric columns.
 
@@ -399,9 +423,9 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
         elif column in metric_columns:
             series.append((column, metric_columns[column]))
         else:
-            raise click.UsageError(f"unknown column {column!r}")
+            raise UsageError(f"unknown column {column!r}")
     if len(series) < 2:
-        raise click.UsageError("need at least two columns to correlate")
+        raise UsageError("need at least two columns to correlate")
     report = correlation_report(series)
     headers = ["a", "b", "n", "pearson_r", "p_pearson", "pearson_stars",
                "spearman_rho", "p_spearman", "spearman_stars"]
@@ -417,24 +441,23 @@ def _golden_lines(cells: Sequence) -> str:
                    for cell in cells)
 
 
-@main.command("validate-reference", cls=_Command)
-def validate_reference() -> None:
+@_command("validate-reference")
+def validate_reference() -> int:
     """Recompute the bundled corpus and check every golden cell."""
+    from .reference import validate_corpus  # here: only corpus calls need the reference
+
     report = validate_corpus()
     passed = sum(1 for cell in report.cells if cell.passed)
     summary = f"{passed}/{len(report.cells)} golden cells within displayed precision\n"
-    _echo([_golden_lines(report.cells) + summary])
-    if not report.ok:
-        sys.exit(1)
+    _emit(sys.stdout, [_golden_lines(report.cells) + summary])
+    return 0 if report.ok else 1
 
 
-@main.command("plot-data", cls=_Command)
-@_input_option
-@_format_option
-@_group_option
-@click.option("--metric-file", required=True, metavar="PATH",
-              help="CSV of external per-entity metrics to pair with the trace.")
-@click.option("--positive-only", is_flag=True, help="Keep only entities with T > 0.")
+@_command("plot-data", _INPUT, _FORMAT, _GROUP,
+          (("--metric-file",), dict(
+              required=True, metavar="PATH",
+              help="CSV of external per-entity metrics to pair with the trace.  [required]")),
+          _POSITIVE)
 def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     """Emit name,T,<metric> rows for external plotting."""
     table = _scored(input_, format_, group)
@@ -444,7 +467,118 @@ def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     columns = [[table.name[i] for i in matched], [table.T[i] for i in matched],
                metric_columns[metric]]
     rows = [j for j, i in enumerate(matched) if not positive_only or table.sign[i] == "positive"]
-    _echo(_write_csv(["name", "T", metric], _blocks(columns, rows)))
+    _emit(sys.stdout, _write_csv(["name", "T", metric], _blocks(columns, rows)))
+
+
+_DESCRIPTION = "h-index core/tail analytics: performance matrices and academic traces."
+_GROUP_USAGE = "Usage: {} [OPTIONS] COMMAND [ARGS]...\n"
+
+
+def _help_width() -> int:
+    """click's help width: the terminal's, from 52 to 80 columns, less 2."""
+    import shutil
+
+    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """click's help layout: "Usage: ", text paragraphs indented by two
+    columns, option help from column 34 at most."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, max_help_position=34, width=_help_width())
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+    def _split_lines(self, text, width):
+        # a bracketed note such as "[default: T]" is never broken
+        lines = super()._split_lines(re.sub(r" (?=[^[]*\])", "\0", text), width)
+        return [line.replace("\0", " ") for line in lines]
+
+    def _fill_text(self, text, width, indent):
+        fill = super()._fill_text
+        return "\n\n".join(fill(paragraph, width, indent + "  ")
+                           for paragraph in re.split(r"\n\s*\n", text))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _parser(prog: str, name: str) -> _Parser:
+    """The parser of one command's options."""
+    function, usage, options = _COMMANDS[name]
+    parser = _Parser(prog=f"{prog} {name}", usage=f"%(prog)s {usage}",
+                     description=function.__doc__, formatter_class=_HelpFormatter,
+                     add_help=False, allow_abbrev=False)
+    group = parser.add_argument_group("Options")
+    for flags, settings in options:
+        group.add_argument(*flags, **settings)
+    group.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _group_help(prog: str) -> str:
+    import textwrap
+
+    pad = max(map(len, _COMMANDS))
+    commands = [textwrap.fill(_COMMANDS[name][0].__doc__.split("\n")[0], _help_width(),
+                              initial_indent=f"  {name:<{pad}}  ",
+                              subsequent_indent=" " * (pad + 4))
+                for name in sorted(_COMMANDS)]
+    return "\n".join([_GROUP_USAGE.format(prog), f"  {_DESCRIPTION}", "", "Options:",
+                      "  --help  Show this message and exit.", "", "Commands:", *commands, ""])
+
+
+def _usage_error(usage: str, prog: str, message: str) -> int:
+    _emit(sys.stderr, [f"{usage}Try '{prog} --help' for help.\n\nError: {message}\n"])
+    return 2
+
+
+def _run(argv: list[str], prog: str) -> int:
+    """Run one command line; its exit code."""
+    if not argv or argv[0] == "--help":
+        # with no command, the help is a usage error, as click has it
+        _emit(sys.stdout if argv else sys.stderr, [_group_help(prog)])
+        return 0 if argv else 2
+    name = argv[0]
+    if name not in _COMMANDS:
+        kind = "option" if name.startswith("-") else "command"
+        return _usage_error(_GROUP_USAGE.format(prog), prog, f"No such {kind} '{name}'.")
+    parser = _parser(prog, name)
+    try:
+        try:
+            options = parser.parse_intermixed_args(argv[1:])
+        except SystemExit as done:  # --help, printed
+            return done.code
+        return _COMMANDS[name][0](**vars(options)) or 0
+    except UsageError as err:
+        return _usage_error(parser.format_usage(), parser.prog, str(err))
+    except CitetraceError as err:
+        _emit(sys.stderr, [f"error: {err}\n"])
+        return 1
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None,
+         standalone_mode: bool = True) -> int:
+    """Run a command line, ``sys.argv[1:]`` by default, and exit with its
+    code.  Without ``standalone_mode``, return 0 on success and raise
+    ``SystemExit`` with any other code, as click's ``main`` does."""
+    try:
+        code = _run(sys.argv[1:] if args is None else list(args), prog_name or "citetrace")
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader left early, as `| head` does
+        # point stdout at devnull, so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except KeyboardInterrupt:
+        _emit(sys.stderr, ["\nAborted!\n"])
+        code = 1
+    if standalone_mode or code:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

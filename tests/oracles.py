@@ -133,18 +133,23 @@ def t_pvalue_quad(r: float, n: int) -> float:
 
 # The report renderers as they were before the CLI encoded whole columns:
 # every cell through one isinstance chain, JSON through ``json.dumps``.
-# ``format_sig`` raises OverflowError where the rounded value passes the
-# float maximum.
+
+FIXED_WIDTH = 128  # the widest fixed-notation table value, in characters
+
 
 def format_sig(value: float, figures: int) -> str:
-    """Fixed-notation rounding to significant figures (tables only)."""
+    """Rounding to significant figures (tables only): fixed notation, or
+    exponent notation where the fixed text would be wider than FIXED_WIDTH."""
     if value == 0 or not math.isfinite(value):
         return str(value)
-    digits = figures - 1 - math.floor(math.log10(abs(value)))
-    rounded = round(value, digits)
-    if digits <= 0:
-        return f"{rounded:.0f}"
-    return f"{rounded:.{digits}f}"
+    exponent = math.floor(math.log10(abs(value)))
+    if exponent < FIXED_WIDTH:  # so round() cannot pass the float maximum
+        digits = figures - 1 - exponent
+        rounded = round(value, digits)
+        text = f"{rounded:.0f}" if digits <= 0 else f"{rounded:.{digits}f}"
+        if len(text) <= FIXED_WIDTH:
+            return text
+    return f"{value:.{figures - 1}e}"
 
 
 def cell(value, figures: int | None) -> str:

@@ -11,11 +11,12 @@ import json
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from citetrace.cli import main
+
+from cli_runner import CliRunner
 
 INTEGERS = st.one_of(st.integers(0, 30), st.integers(-5, 10 ** 6),
                      st.integers(-10 ** 400, 10 ** 400))

@@ -4,7 +4,6 @@ import math
 from array import array
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +18,8 @@ from citetrace import (
 from citetrace.cli import main
 from citetrace.ranking import rank_order
 from citetrace.reference import matches_displayed, reference_corpus
+
+from cli_runner import CliRunner
 
 
 def lis_entities():
