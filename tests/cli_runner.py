@@ -6,29 +6,15 @@ import io
 import sys
 
 
-class _Capture(io.BytesIO):
-    """One stream's bytes, each write copied to the output both streams share."""
-
-    def __init__(self, shared: io.BytesIO) -> None:
-        super().__init__()
-        self.shared = shared
-
-    def write(self, data) -> int:
-        self.shared.write(data)
-        return super().write(data)
-
-
 class Result:
-    """A call's exit code and captured bytes.  ``output`` holds stdout and
-    stderr interleaved as they were written; the text forms are UTF-8
-    decoded with CRLF read as LF."""
+    """A call's exit code and captured bytes.  The text forms are UTF-8
+    decoded with CRLF read as LF; ``output`` is stdout followed by stderr."""
 
     def __init__(self, exit_code: int, stdout_bytes: bytes, stderr_bytes: bytes,
-                 output_bytes: bytes, exception: BaseException | None) -> None:
+                 exception: BaseException | None) -> None:
         self.exit_code = exit_code
         self.stdout_bytes = stdout_bytes
         self.stderr_bytes = stderr_bytes
-        self.output_bytes = output_bytes
         self.exception = exception
 
     @staticmethod
@@ -45,7 +31,7 @@ class Result:
 
     @property
     def output(self) -> str:
-        return self._text(self.output_bytes)
+        return self._text(self.stdout_bytes + self.stderr_bytes)
 
 
 class CliRunner:
@@ -53,8 +39,7 @@ class CliRunner:
         """Call ``cli(list(args))``.  A ``SystemExit`` gives the exit code and,
         when that is not 0, the exception; any other exception gives exit
         code 1 and the exception, or propagates without ``catch_exceptions``."""
-        shared = io.BytesIO()
-        out, err = _Capture(shared), _Capture(shared)
+        out, err = io.BytesIO(), io.BytesIO()
         # held here until the bytes are read: a text wrapper closes its buffer when freed
         streams = [io.TextIOWrapper(buffer, encoding="utf-8", write_through=True)
                    for buffer in (out, err)]
@@ -72,4 +57,4 @@ class CliRunner:
             exit_code, exception = 1, error
         finally:
             sys.stdout, sys.stderr = saved
-        return Result(exit_code, out.getvalue(), err.getvalue(), shared.getvalue(), exception)
+        return Result(exit_code, out.getvalue(), err.getvalue(), exception)

@@ -385,6 +385,18 @@ print(json.dumps(loaded))
 """
 
 
+def test_main_without_standalone_mode_returns_or_raises_the_code(capsys):
+    """perfbench's traced run calls main this way: 0 comes back, any other
+    code is raised as SystemExit."""
+    assert main(["--help"], standalone_mode=False) == 0
+    assert main(["rank", "--help"], standalone_mode=False) == 0
+    for args, code in [(["compute", "--input", "corpus", "--group", "nosuch"], 1),
+                       (["rank", "--input", "corpus", "--key", "bogus"], 2)]:
+        with pytest.raises(SystemExit) as exit:
+            main(args, standalone_mode=False)
+        assert exit.value.code == code
+
+
 def test_numpy_and_scipy_never_load(tmp_path):
     metrics = tmp_path / "metrics.csv"
     metrics.write_text("name,IF\nNature,1.0\nScience,2.0\n")
