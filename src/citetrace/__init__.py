@@ -72,6 +72,7 @@ def __getattr__(name: str):
         return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
 __all__ = [
     "SummaryRecord",
     "h_index",

@@ -48,7 +48,7 @@ class UsageError(Exception):
 def _emit(stream: TextIO, chunks: Iterable[str]) -> None:
     """Write text to a standard stream as given.  A stream whose encoding
     is ASCII gets the text as UTF-8 with any character UTF-8 cannot hold
-    replaced, as click wrote it, instead of an encoding error."""
+    replaced, instead of an encoding error."""
     buffer = getattr(stream, "buffer", None)
     try:
         ascii_stream = codecs.lookup(getattr(stream, "encoding", None) or "ascii").name == "ascii"
@@ -475,14 +475,14 @@ _GROUP_USAGE = "Usage: {} [OPTIONS] COMMAND [ARGS]...\n"
 
 
 def _help_width() -> int:
-    """click's help width: the terminal's, from 52 to 80 columns, less 2."""
+    """The help's width: the terminal's, from 52 to 80 columns, less 2."""
     import shutil
 
     return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
 
 
 class _HelpFormatter(argparse.HelpFormatter):
-    """click's help layout: "Usage: ", text paragraphs indented by two
+    """The help layout: "Usage: ", text paragraphs indented by two
     columns, option help from column 34 at most."""
 
     def __init__(self, prog: str) -> None:
@@ -540,7 +540,7 @@ def _usage_error(usage: str, prog: str, message: str) -> int:
 def _run(argv: list[str], prog: str) -> int:
     """Run one command line; its exit code."""
     if not argv or argv[0] == "--help":
-        # with no command, the help is a usage error, as click has it
+        # with no command, the help is a usage error
         _emit(sys.stdout if argv else sys.stderr, [_group_help(prog)])
         return 0 if argv else 2
     name = argv[0]
