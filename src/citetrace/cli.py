@@ -28,7 +28,7 @@ from .datasets import (MetricTable, citation_columns, parse_json, parse_metric_c
                        summary_columns)
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
 from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table
-from .partition import column_chunks, column_warnings
+from .partition import _FIXED_WIDTH, column_chunks, column_warnings
 from .ranking import rank_order
 
 _FORMATS = ("summary", "citations", "json")
@@ -139,14 +139,10 @@ def _warn(warnings: Iterable[tuple[str, str]]) -> None:
     _emit(sys.stderr, (f"warning: {name}: {warning}\n" for name, warning in warnings))
 
 
-# A table value whose fixed-notation text would be longer than this many
-# characters is written in exponent notation.  p-values of 1e-105 still fit.
-_FIXED_WIDTH = 128
-
-
 def _format_sig(value: float, figures: int) -> str:
     """Rounding to significant figures (tables only): fixed notation up to
-    ``_FIXED_WIDTH`` characters, else exponent notation."""
+    ``_FIXED_WIDTH`` characters, else exponent notation.  p-values of
+    1e-105 still fit."""
     if value == 0 or not math.isfinite(value):
         return str(value)
     digits = figures - 1 - math.floor(math.log10(abs(value)))
@@ -537,6 +533,26 @@ def _usage_error(usage: str, prog: str, message: str) -> int:
     return 2
 
 
+def _values_joined(argv: list[str], options: tuple) -> list[str]:
+    """argv with each option that takes a value joined by "=" to the next
+    token when that token starts with "-" but is none of the command's
+    flags: argparse reads ``--input -x.csv`` as a missing value, and
+    ``--input=-x.csv`` as the file."""
+    flags = {"--help", "--", *(flag for names, _ in options for flag in names)}
+    valued = {names[0] for names, settings in options
+              if names[0].startswith("-") and "action" not in settings}
+    joined, i = [], 0
+    while i < len(argv):
+        token = argv[i]
+        if (token in valued and i + 1 < len(argv) and argv[i + 1].startswith("-")
+                and argv[i + 1] not in flags):
+            i += 1
+            token = f"{token}={argv[i]}"
+        joined.append(token)
+        i += 1
+    return joined
+
+
 def _run(argv: list[str], prog: str) -> int:
     """Run one command line; its exit code."""
     if not argv or argv[0] == "--help":
@@ -550,7 +566,7 @@ def _run(argv: list[str], prog: str) -> int:
     parser = _parser(prog, name)
     try:
         try:
-            options = parser.parse_intermixed_args(argv[1:])
+            options = parser.parse_intermixed_args(_values_joined(argv[1:], _COMMANDS[name][2]))
         except SystemExit as done:  # --help, printed
             return done.code
         return _COMMANDS[name][0](**vars(options)) or 0

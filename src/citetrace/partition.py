@@ -12,10 +12,9 @@ exact integer arithmetic on immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import add, ge, le, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -35,18 +34,7 @@ def _require_count(value: int, label: str) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryRecord:
-    """The five independent numbers that determine the whole decomposition.
-
-    P (total papers), h, Pz (uncited papers), C (total citations) and
-    Ch (citations of the h-core) are all that summary exports carry;
-    every other class mass is a linear combination of them, so the
-    identities P = h + Pt + Pz and C = h^2 + Ce + Ct hold by
-    construction.  ``group`` is optional metadata used to scope
-    rankings (e.g. a JCR category).
-    """
-
+class _Fields(NamedTuple):
     name: str
     papers: int
     h: int
@@ -55,10 +43,26 @@ class SummaryRecord:
     core_citations: int
     group: str | None = None
 
-    def __post_init__(self) -> None:
+
+class SummaryRecord(_Fields):
+    """The five independent numbers that determine the whole decomposition.
+
+    P (total papers), h, Pz (uncited papers), C (total citations) and
+    Ch (citations of the h-core) are all that summary exports carry;
+    every other class mass is a linear combination of them, so the
+    identities P = h + Pt + Pz and C = h^2 + Ce + Ct hold by
+    construction.  ``group`` is optional metadata used to scope
+    rankings (e.g. a JCR category).  A record is a named tuple, checked
+    however it is built: by a call, ``_make``, ``_replace``, copy or
+    unpickling.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, papers: int, h: int, uncited: int, citations: int,
+                core_citations: int, group: str | None = None) -> SummaryRecord:
         """Raise ValidationError naming the first violated invariant."""
-        name, p, h, pz, c, ch = (self.name, self.papers, self.h, self.uncited,
-                                 self.citations, self.core_citations)
+        p, pz, c, ch = papers, uncited, citations, core_citations
         if not name:
             raise ValidationError("entity name must be non-empty")
         # one test passes valid counts; only a failure builds labels to name the first bad one
@@ -78,6 +82,12 @@ class SummaryRecord:
             raise ValidationError(f"{name}: Ch > C ({ch} > {c})")
         if h == 0 and (c != 0 or ch != 0):
             raise ValidationError(f"{name}: h = 0 requires C = 0 and Ch = 0 (got C={c}, Ch={ch})")
+        return tuple.__new__(cls, (name, p, h, pz, c, ch, group))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SummaryRecord:
+        """A record of the fields in iterable, checked; ``_replace`` builds through it."""
+        return cls(*iterable)
 
     @property
     def tail_papers(self) -> int:
@@ -136,8 +146,8 @@ def ranked_summary(ranked: list[int]) -> tuple[int, int, int, int, int]:
 def columns_valid(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],
                   pzs: Sequence[int], cs: Sequence[int], chs: Sequence[int]) -> bool:
     """Whether ``SummaryRecord`` accepts every row of these columns of
-    integers: each invariant of ``__post_init__`` tested over whole columns
-    at once.  It names no row; the record checks name the first bad one."""
+    integers: each invariant its ``__new__`` checks, tested over whole
+    columns at once.  It names no row; the record checks name the first bad one."""
     return (all(names) and min(ps) >= 1 and min(hs) >= 0 and min(pzs) >= 0
             and min(cs) >= 0 and min(chs) >= 0
             and all(map(le, hs, ps))
@@ -171,21 +181,39 @@ def column_chunks(records: Iterable[SummaryRecord]) -> Iterator[tuple[list, ...]
     return map(record_columns, chunks(records))
 
 
+# A number whose text would be longer than this many characters (digits,
+# for an integer) is written in exponent notation.
+_FIXED_WIDTH = 128
+
+
+def _count_text(count: int) -> str:
+    """A count >= 0 in full, or past ``_FIXED_WIDTH`` digits to 4 figures as
+    ``"%.3e"`` writes a float, rounded half to even in integers: a count
+    such as 10**400 is past the float range."""
+    text = str(count)
+    if len(text) <= _FIXED_WIDTH:
+        return text
+    text = str(round(count, 4 - len(text)))  # the rounding may carry into one more digit
+    return f"{text[0]}.{text[1:4]}e+{len(text) - 1}"
+
+
 def column_warnings(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],
                     pzs: Sequence[int], cs: Sequence[int],
                     chs: Sequence[int]) -> list[tuple[str, str]]:
     """The plausibility warnings of valid rows given as columns, as (name,
-    warning) pairs in row order; see ``plausibility_warnings``."""
+    warning) pairs in row order; see ``plausibility_warnings``.  A count
+    past ``_FIXED_WIDTH`` digits is written in exponent notation."""
     warnings = []
     for name, p, h, pz, c, ch in zip(names, ps, hs, pzs, cs, chs):
         pt, ct = p - h - pz, c - ch
         if ct < pt:
             warnings.append((name, f"tail citations below tail paper count "
-                                   f"(Ct={ct} < Pt={pt}); "
+                                   f"(Ct={_count_text(ct)} < Pt={_count_text(pt)}); "
                                    f"every cited tail paper carries at least one citation"))
         if ct > h * pt:
             warnings.append((name, f"tail citations exceed the h*Pt ceiling "
-                                   f"(Ct={ct} > {h}*{pt}={h * pt}); "
+                                   f"(Ct={_count_text(ct)} > {_count_text(h)}*{_count_text(pt)}"
+                                   f"={_count_text(h * pt)}); "
                                    f"no tail paper can carry more than h citations"))
     return warnings
 

@@ -418,24 +418,26 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 
 class TestLazyImports:
-    """decimal and json load only in the calls that need them, and the
-    result types are NamedTuples, which cost far less to define at import."""
+    """decimal and json load only in the calls that need them, and every
+    record and result type is a NamedTuple, so no call loads dataclasses
+    (and the inspect it imports), which cost far more to define at import."""
 
-    def test_cli_import_loads_no_decimal_json_or_numbers(self):
+    def test_cli_import_loads_no_dataclasses_inspect_decimal_json_or_numbers(self):
         proc = subprocess.run([sys.executable, "-c", ADDED_BY_IMPORT],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
         assert "citetrace.cli" in added
-        assert added & {"click", "citetrace.reference", "decimal", "json", "numbers"} == set()
+        assert added & {"click", "citetrace.reference", "dataclasses", "decimal", "inspect",
+                        "json", "numbers"} == set()
 
-    def test_summary_record_is_the_only_dataclass(self):
+    def test_no_public_name_is_a_dataclass(self):
         import dataclasses
 
         import citetrace
 
         assert [name for name in citetrace.__all__
-                if dataclasses.is_dataclass(getattr(citetrace, name))] == ["SummaryRecord"]
+                if dataclasses.is_dataclass(getattr(citetrace, name))] == []
 
     @pytest.mark.parametrize("snapshot", ["compute_corpus.json", "validate_reference.txt"])
     def test_fresh_process_matches_snapshot(self, snapshot):
@@ -509,6 +511,63 @@ class TestIntegerPastDigitLimit:
         line = proc.stderr.decode()
         assert line.startswith(message) and line.count("\n") == 1
         assert len(line) < 200
+
+
+class TestLongCountsInWarnings:
+    """A count past 128 digits is written in exponent notation in a warning."""
+
+    CEILING = "tail citations exceed the h*Pt ceiling (Ct={} > 1*0=0); " \
+              "no tail paper can carry more than h citations"
+
+    def test_big_csv(self, monkeypatch):
+        monkeypatch.chdir(DATA.parent.parent)
+        proc = _run_cli(["compute", "--input", "tests/data/big.csv"])
+        assert proc.returncode == 0
+        assert proc.stdout == (DATA / "compute_big.txt").read_bytes()
+        assert proc.stderr.decode() == "warning: big: " + self.CEILING.format("1.798e+308") + "\n"
+
+    def test_count_past_the_float_range(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"name,P,h,Pz,C,Ch\nhuge,1,1,0,{10 ** 400},1\n")
+        proc = _run_cli(["compute", "--input", str(path)])
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "warning: huge: " + self.CEILING.format("1.000e+400"),
+            "error: huge: class scores exceed the float range"]
+
+
+class TestOptionValueStartingWithDash:
+    """An option takes the next token as its value when that token starts
+    with "-" but is none of the command's flags, as ``--opt=value`` does."""
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["compute", "--input", "-x.csv", "--output", "csv"],
+         ["compute", "--input=-x.csv", "--output", "csv"]),
+        (["correlate", "--metric-file", "-m.csv", "--input", "corpus"],
+         ["correlate", "--metric-file=-m.csv", "--input", "corpus"]),
+        (["plot-data", "--input", "-x.csv", "--metric-file", "-m.csv"],
+         ["plot-data", "--input=-x.csv", "--metric-file=-m.csv"]),
+    ], ids=["input", "metric-file", "both"])
+    def test_same_as_the_joined_form(self, runner, tmp_path, monkeypatch, spaced, joined):
+        (tmp_path / "-x.csv").write_text("name,P,h,Pz,C,Ch\nNature,2,1,0,3,2\nScience,4,2,1,9,7\n")
+        (tmp_path / "-m.csv").write_text("name,IF\nNature,1.0\nScience,2.0\n")
+        monkeypatch.chdir(tmp_path)
+        result = invoke(runner, spaced)
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout
+        expected = invoke(runner, joined)
+        assert (result.stdout, result.stderr) == (expected.stdout, expected.stderr)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--input", "--output", "csv"], "Error: argument --input: expected one argument\n"),
+        (["--input", "-missing.csv"], "Error: input file not found: -missing.csv\n"),
+    ], ids=["flag", "missing-file"])
+    def test_usage_errors(self, runner, args, message):
+        result = runner.invoke(main, ["compute", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(message)
 
 
 class TestUnreadableFile:

@@ -1,6 +1,8 @@
 """Core decomposition: h-index, summary records and their derived masses, validation, plausibility."""
 
-from dataclasses import replace
+import copy
+import pickle
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from citetrace import (
     plausibility_warnings,
     summarize,
 )
-from citetrace.partition import columns_valid
+from citetrace.partition import _FIXED_WIDTH, _count_text, columns_valid
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200)
 
@@ -168,9 +170,41 @@ class TestSummaryValidation:
     def test_slotted_record_still_checked_on_replace(self):
         rec = SummaryRecord("X", papers=10, h=4, uncited=0, citations=20, core_citations=16)
         assert not hasattr(rec, "__dict__")
-        assert replace(rec, uncited=6) == SummaryRecord("X", 10, 4, 6, 20, 16)
+        assert rec._replace(uncited=6) == SummaryRecord("X", 10, 4, 6, 20, 16)
         with pytest.raises(ValidationError, match="Pz > P - h"):
-            replace(rec, uncited=7)
+            rec._replace(uncited=7)
+
+
+class TestEveryConstructionIsChecked:
+    """A record is a named tuple, and every way to build one runs the checks."""
+
+    REC = SummaryRecord("X", papers=10, h=4, uncited=0, citations=20, core_citations=16)
+    PZ_ERROR = "X: Pz > P - h (7 > 6); cited papers must number at least h"
+
+    def test_replace_and_make_raise_the_call_s_message(self):
+        with pytest.raises(ValidationError) as called:
+            SummaryRecord("X", 10, 4, 7, 20, 16)
+        with pytest.raises(ValidationError) as replaced:
+            self.REC._replace(uncited=7)
+        with pytest.raises(ValidationError) as made:
+            SummaryRecord._make(["X", 10, 4, 7, 20, 16])
+        assert str(called.value) == str(replaced.value) == str(made.value) == self.PZ_ERROR
+        assert SummaryRecord._make(["X", 10, 4, 6, 20, 16, "LIS"]) == \
+            SummaryRecord("X", 10, 4, 6, 20, 16, group="LIS")
+
+    def test_copy_and_pickle_give_an_equal_record(self):
+        copies = [copy.copy(self.REC), copy.deepcopy(self.REC),
+                  *(pickle.loads(pickle.dumps(self.REC, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+        for rec in copies:
+            assert type(rec) is SummaryRecord and rec == self.REC
+            assert not hasattr(rec, "__dict__")
+
+    def test_a_record_is_the_tuple_of_its_fields(self):
+        assert self.REC == ("X", 10, 4, 0, 20, 16, None)
+        assert self.REC[1:6] == (10, 4, 0, 20, 16)
+        assert (self.REC.tail_papers, self.REC.excess_citations, self.REC.tail_citations) == \
+            (6, 0, 4)
 
 
 class TestCitationListValidation:
@@ -237,6 +271,39 @@ class TestPlausibilityWarnings:
         warnings = plausibility_warnings(rec)
         assert len(warnings) == 1
         assert "ceiling" in warnings[0]
+
+    @pytest.mark.parametrize("c, ct", [
+        (int(1.7976931348623157e308), "1.798e+308"),
+        (10 ** 400, "1.000e+400"),
+        (10 ** _FIXED_WIDTH, "9" * _FIXED_WIDTH),  # Ct = C - 1 has 128 digits
+        (10 ** _FIXED_WIDTH + 1, "1.000e+128"),
+    ], ids=["float-max", "1e400", "128-digits", "129-digits"])
+    def test_long_count_above_ceiling(self, c, ct):
+        rec = SummaryRecord("big", papers=1, h=1, uncited=0, citations=c, core_citations=1)
+        assert plausibility_warnings(rec) == [
+            f"tail citations exceed the h*Pt ceiling (Ct={ct} > 1*0=0); "
+            "no tail paper can carry more than h citations"]
+
+    def test_long_counts_below_tail_papers(self):
+        rec = SummaryRecord("wide", papers=10 ** 200 + 1, h=1, uncited=0, citations=3,
+                            core_citations=1)
+        assert plausibility_warnings(rec) == [
+            "tail citations below tail paper count (Ct=2 < Pt=1.000e+200); "
+            "every cited tail paper carries at least one citation"]
+
+    @given(st.integers(min_value=0, max_value=10 ** 500))
+    def test_count_text_is_whole_or_rounded_half_to_even(self, count):
+        # Decimal's format rounds the exact value half to even, like "%.3e" on a float
+        expected = str(count) if count < 10 ** _FIXED_WIDTH else format(Decimal(count), ".3e")
+        assert _count_text(count) == expected
+
+    @pytest.mark.parametrize("count, text", [
+        (12345 * 10 ** 200, "1.234e+204"), (12355 * 10 ** 200, "1.236e+204"),
+        (99995 * 10 ** 200, "1.000e+205"), (99994 * 10 ** 200, "9.999e+204"),
+        (10 ** _FIXED_WIDTH - 1, "9" * _FIXED_WIDTH),
+    ])
+    def test_count_text_at_the_edges(self, count, text):
+        assert _count_text(count) == text
 
 
 @st.composite

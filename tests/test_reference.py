@@ -1,6 +1,5 @@
 """Embedded corpus integrity and golden-value validation machinery."""
 
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -47,7 +46,7 @@ class TestCorpusIntegrity:
     def test_every_record_passes_strict_validation(self):
         corpus = reference_corpus()
         for rec in corpus.journals + corpus.units:
-            assert replace(rec) == rec  # rebuilding re-runs every invariant check
+            assert rec._replace() == rec  # rebuilding re-runs every invariant check
 
     def test_plausibility_screen_on_real_data(self):
         # one journal summary exceeds the h*Pt tail ceiling; everything else is clean
