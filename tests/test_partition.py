@@ -300,7 +300,6 @@ class TestPlausibilityWarnings:
     @pytest.mark.parametrize("count, text", [
         (12345 * 10 ** 200, "1.234e+204"), (12355 * 10 ** 200, "1.236e+204"),
         (99995 * 10 ** 200, "1.000e+205"), (99994 * 10 ** 200, "9.999e+204"),
-        (10 ** _FIXED_WIDTH - 1, "9" * _FIXED_WIDTH),
     ])
     def test_count_text_at_the_edges(self, count, text):
         assert _count_text(count) == text
