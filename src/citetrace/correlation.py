@@ -9,12 +9,19 @@ scale that keeps it a normal float even for |r| < 2^-511, and |r| is its
 square root.  So pearson r and spearman rho are within one unit in the
 last place of the exact coefficient of their input floats, for finite
 input of any magnitude; only an |r| below 2^-1022, itself subnormal, is
-rounded a second time.  A column is constant exactly when its dx is 0.
+rounded a second time.  A column is constant exactly when its dx is 0;
+such columns are rejected as floats, before any sum is taken.
+
+Every Sxx and Sxy comes from one Gram kernel (Kronecker substitution): with
+|x| < 2^L over n rows, each sum fits a signed field of B = 2L + bits(n) + 2
+bits, so summing x_c * (x_c + x_(c+1)*2^B + ...) over the rows gives Sxy for
+every later y, exactly, from one multiply per row.  Packs are capped at 4096
+bits, past which the doubled digit work outweighs the per-integer overhead
+saved, so columns wider than about 2000 bits are multiplied pairwise.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -40,53 +47,86 @@ def _require_finite(values: list[float]) -> None:
         raise DegenerateInput("values must be finite (no NaN or infinity)")
 
 
+def _require_columns(*columns: list[float]) -> None:
+    """Every column finite, then every (non-empty) column not constant."""
+    for values in columns:
+        _require_finite(values)
+    for values in columns:
+        if values.count(values[0]) == len(values):
+            raise DegenerateInput("constant sequence has no defined correlation")
+
+
 def _require_pair(x: list[float], y: list[float]) -> None:
     if len(x) != len(y):
         raise LengthMismatch(f"paired sequences must match: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise DegenerateInput(f"need at least 2 pairs, got {len(x)}")
-
-
-# a column as integers over one denominator, their sum, and n*(sum of squares) - sum^2
-_Exact = tuple[list[int], int, int]
+    _require_columns(x, y)
 
 
 def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
     fx, fy = list(map(float, x)), list(map(float, y))
     _require_pair(fx, fy)
-    _require_finite(fx)
-    _require_finite(fy)
     return fx, fy
 
 
-def _exact(column: list[float]) -> _Exact:
+def _exact(column: list[float]) -> list[int]:
     """The finite column times its largest power-of-two denominator."""
     ratios = [v.as_integer_ratio() for v in column]
     bits = max(d for _, d in ratios).bit_length()
-    return _sums([m << (bits - d.bit_length()) for m, d in ratios])
+    return [m << (bits - d.bit_length()) for m, d in ratios]
 
 
-def _sums(ints: list[int]) -> _Exact:
-    total = sum(ints)
-    return ints, total, len(ints) * sum(map(operator.mul, ints, ints)) - total * total
+_PACK_BITS = 4096  # widest row pack (see the module docstring)
+_PACK_ROWS = 256  # rows packed at a time, which bounds the packs' memory
 
 
-def _coefficient(x: _Exact, y: _Exact) -> float:
-    """Pearson r of two ``_exact`` columns, rounded from exact integers."""
-    (xs, sx, dx), (ys, sy, dy) = x, y
-    if dx == 0 or dy == 0:
-        raise DegenerateInput("constant sequence has no defined correlation")
-    num = len(xs) * sum(map(operator.mul, xs, ys)) - sx * sy
+def _gram(columns: list[list[int]]) -> dict[tuple[int, int], int]:
+    """sum(x_i * x_j) for every i <= j of equal-length integer columns."""
+    n = len(columns[0])
+    width = max(v.bit_length() for xs in columns for v in (min(xs), max(xs)))
+    field = 2 * width + n.bit_length() + 2  # holds any sum of n products, with its sign
+    size = max(1, min(len(columns), _PACK_BITS // field))
+    groups = [range(a, min(a + size, len(columns))) for a in range(0, len(columns), size)]
+    packed = {(c, g): 0 for g in groups for c in range(g.stop)}
+    for start in range(0, n, _PACK_ROWS):
+        rows = [xs[start:start + _PACK_ROWS] for xs in columns]
+        for g in groups:
+            pack = rows[g[-1]]
+            for c in reversed(range(g.stop)):
+                if c in g[:-1]:  # pack = x_c + (pack << field), from the group's last column down
+                    pack = list(map(operator.add, rows[c],
+                                    map(operator.lshift, pack, itertools.repeat(field))))
+                packed[c, g] += sum(map(operator.mul, rows[c], pack))
+    half, mask, gram = 1 << field - 1, (1 << field) - 1, {}
+    for (c, g), t in packed.items():
+        for d in range(max(c, g.start), g.stop):  # the lowest field left is sum(x_c * x_d)
+            gram[c, d] = f = ((t + half) & mask) - half
+            t = (t - f) >> field
+    return gram
+
+
+def _coefficient(n: int, sx: int, sxx: int, sy: int, syy: int, sxy: int) -> float:
+    """Pearson r of two non-constant columns of n integers, from exact sums."""
+    dx, dy = n * sxx - sx * sx, n * syy - sy * sy
+    num = n * sxy - sx * sy
     square, bound = num * num, dx * dy  # square <= bound: Cauchy-Schwarz
     k = (bound.bit_length() - square.bit_length()) // 2  # |r| is about 2^-k
     r = math.ldexp(math.sqrt((square << 2 * k) / bound), -k)
     return -r if num < 0 else r
 
 
+def _coefficients(columns: list[list[int]]) -> dict[tuple[int, int], float]:
+    """Pearson r of every pair i < j of non-constant integer columns."""
+    n, sums, gram = len(columns[0]), list(map(sum, columns)), _gram(columns)
+    return {(i, j): _coefficient(n, sums[i], gram[i, i], sums[j], gram[j, j], gram[i, j])
+            for i, j in itertools.combinations(range(len(columns)), 2)}
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient, rounded from its exact value."""
     fx, fy = _paired(x, y)
-    return _coefficient(_exact(fx), _exact(fy))
+    return _coefficients([_exact(fx), _exact(fy)])[0, 1]
 
 
 def _doubled_ranks(values: list[float]) -> list[int]:
@@ -111,7 +151,7 @@ def midranks(values: Sequence[float]) -> list[float]:
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho: the Pearson correlation of the midranks."""
     fx, fy = _paired(x, y)
-    return _coefficient(_sums(_doubled_ranks(fx)), _sums(_doubled_ranks(fy)))
+    return _coefficients([_doubled_ranks(fx), _doubled_ranks(fy)])[0, 1]
 
 
 def significance(r: float, n: int) -> float:
@@ -227,21 +267,17 @@ def correlation_report(columns: Sequence[tuple[str, Sequence[float]]]) -> Correl
     if len(lengths) > 1:
         raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
     floats = [list(map(float, values)) for _, values in columns]
-
-    @functools.cache
-    def prepared(i: int) -> tuple[_Exact, _Exact]:
-        # once per column, on the first pair that needs it, so that errors come
-        # in the order per-pair pearson and spearman calls would raise them
-        ranks = _doubled_ranks(floats[i])  # rejects NaN and infinity
-        return _exact(floats[i]), _sums(ranks)
-
+    if len(floats) < 2:
+        return CorrelationReport(pairs=())
+    _require_pair(floats[0], floats[1])  # the checks of pair-by-pair calls, in their order
+    for values in floats[2:]:
+        _require_columns(values)
+    n = len(floats[0])
+    rs = _coefficients(list(map(_exact, floats)))
+    rhos = _coefficients(list(map(_doubled_ranks, floats)))
     pairs = []
-    for i, j in itertools.combinations(range(len(columns)), 2):
-        _require_pair(floats[i], floats[j])
-        (values_a, ranks_a), (values_b, ranks_b) = prepared(i), prepared(j)
-        n = len(floats[i])
-        r = _coefficient(values_a, values_b)
-        rho = _coefficient(ranks_a, ranks_b)
+    for (i, j), r in rs.items():
+        rho = rhos[i, j]
         p_r = significance(r, n) if n >= 3 else None
         p_rho = significance(rho, n) if n >= 3 else None
         pairs.append(PairCorrelation(a=columns[i][0], b=columns[j][0], n=n, pearson_r=r,

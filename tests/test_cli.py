@@ -133,8 +133,8 @@ def _matches_snapshot(runner, monkeypatch, snapshot):
 
 def test_manifest_names_every_snapshot():
     inputs = {"ansi_names.csv", "big.csv", "cafe.csv", "citations_edge.csv",
-              "citations_small.csv", "metrics_small.csv", "summary_small.csv",
-              "snapshots.json", "usage_snapshots.json"}
+              "citations_small.csv", "metrics_small.csv", "metrics_wide.csv",
+              "summary_small.csv", "snapshots.json", "usage_snapshots.json"}
     assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS) | set(USAGE_SNAPSHOTS)
 
 

@@ -1,6 +1,7 @@
 """Correlation coefficients, midranks, significance, and the pair report."""
 
 import math
+import operator
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import citetrace.correlation
@@ -32,6 +33,52 @@ P_HALF_N30 = 0.004899933667068090
 # residuals would underflow to an (honestly reported) zero variance.
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(lambda v: round(v, 6))
 pair_lists = st.lists(st.tuples(finite, finite), min_size=2, max_size=60)
+
+
+ROWS = citetrace.correlation._PACK_ROWS
+
+
+def pairwise_gram(columns):
+    return {(i, j): sum(map(operator.mul, columns[i], columns[j]))
+            for i in range(len(columns)) for j in range(i, len(columns))}
+
+
+@st.composite
+def int_columns(draw):
+    """1 to 20 signed integer columns over 1 to more than two row blocks, of
+    mixed widths up to 2,100 bits (about the widest that _exact gives for
+    finite floats).  An extreme column holds only +-(2^L - 1) at the widest
+    L, so that its sums fill a packed field up to its sign boundary."""
+    rng = draw(st.randoms(use_true_random=False))
+    widest = draw(st.sampled_from([1, 2, 12, 72, 300, 2100]) | st.integers(1, 2100))
+    n = draw(st.integers(1, 2 * ROWS + 8))
+    columns = []
+    for _ in range(draw(st.integers(1, 20))):
+        if draw(st.booleans()):
+            top, signs = 2 ** widest - 1, draw(st.sampled_from([(1,), (-1,), (-1, 1)]))
+            columns.append([rng.choice(signs) * top for _ in range(n)])
+        else:
+            top = 2 ** draw(st.integers(1, widest)) - 1
+            columns.append([rng.randint(-top, top) for _ in range(n)])
+    return columns
+
+
+class TestGram:
+    @settings(max_examples=150, deadline=None)
+    @given(int_columns())
+    def test_equals_pairwise_products(self, columns):
+        assert citetrace.correlation._gram(columns) == pairwise_gram(columns)
+
+    # n = 1023 is the largest n of its bit length, so the sums of squares come
+    # within a factor of 2 of the field's sign boundary: three columns packed
+    # as one group at 1 and 64 bits, and one to a group at 2,100 bits
+    @pytest.mark.parametrize("bits", [1, 64, 2100])
+    def test_extreme_columns_fill_their_fields(self, bits):
+        top, n = 2 ** bits - 1, 4 * ROWS - 1
+        columns = [[top] * n, [-top] * n, [top, -top] * (n // 2) + [top]]
+        gram = citetrace.correlation._gram(columns)
+        assert gram == pairwise_gram(columns)
+        assert gram[0, 0] == gram[1, 1] == n * top * top and gram[0, 1] == -n * top * top
 
 
 class TestPearson:
@@ -326,6 +373,21 @@ class TestCorrelationReport:
         noisy = tuple(v + ((-1) ** v) * 0.1 for v in x)
         report = correlation_report([("x", x), ("y", noisy)])
         assert report.pairs[0].pearson_stars == "**"
+
+    # the first error a pair loop meets: a pair's length, then the finiteness
+    # of each of its two columns, then their constancy
+    @pytest.mark.parametrize("columns, message", [
+        ([(5, 5, 5), (1, 2, 3), (1, math.nan, 3)], "constant sequence has no defined correlation"),
+        ([(1, 2, 3), (5, 5, 5), (1, math.nan, 3)], "constant sequence has no defined correlation"),
+        ([(1, 2, 3), (1, math.nan, 3), (5, 5, 5)], "values must be finite (no NaN or infinity)"),
+        ([(5, 5, 5), (1, math.nan, 3)], "values must be finite (no NaN or infinity)"),
+        ([(1, math.inf, 3), (5, 5, 5)], "values must be finite (no NaN or infinity)"),
+        ([(math.nan,), (5,), (6,)], "need at least 2 pairs, got 1"),
+    ])
+    def test_first_error_in_pair_order(self, columns, message):
+        with pytest.raises(DegenerateInput) as raised:
+            correlation_report([(f"c{i}", values) for i, values in enumerate(columns)])
+        assert str(raised.value) == message
 
     def test_each_column_ranked_once(self, monkeypatch):
         calls = []
