@@ -138,14 +138,30 @@ def test_manifest_names_every_snapshot():
     assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS) | set(USAGE_SNAPSHOTS)
 
 
+def test_wide_metrics_follow_their_formulas():
+    """Row i (from 1) of metrics_wide.csv is the i-th corpus journal, with a
+    subnormal, a value near the float maximum, and alternating signs across
+    10^-300 to 10^300."""
+    rows = list(csv.reader(io.StringIO((DATA / "metrics_wide.csv").read_text())))
+    journals = reference_corpus().journals
+    n = len(journals)
+    assert rows[0] == ["name", "tiny", "huge", "mixed"]
+    assert [row[0] for row in rows[1:]] == [record.name for record in journals]
+    for i, (_, tiny, huge, mixed) in enumerate(rows[1:], 1):
+        exponent = -300 + 600 * (i - 1) // (n - 1)
+        assert (float(tiny), float(huge)) == (5e-324 * i, 1.7e308 / i)
+        assert float(mixed) == (-1) ** i * float(f"1e{exponent}")
+
+
 @pytest.mark.parametrize("snapshot", CSV_SNAPSHOTS)
 def test_csv_output_matches_snapshot(runner, monkeypatch, snapshot):
     _matches_snapshot(runner, monkeypatch, snapshot)
 
 
 # The other report formats, the rank column under --mask-x3, a table of very
-# small p-values, plot-data, a correlate at n = 2 (no p-values), and the
-# validate-reference listing.
+# small p-values, plot-data, a correlate at n = 2 (no p-values), the
+# validate-reference listing, and csv correlates of 14 and 16 columns whose
+# metrics span the float range (tests/data/metrics_wide.csv).
 @pytest.mark.parametrize("snapshot", sorted(set(SNAPSHOTS) - set(CSV_SNAPSHOTS)))
 def test_json_and_table_output_match_snapshot(runner, monkeypatch, snapshot):
     _matches_snapshot(runner, monkeypatch, snapshot)
