@@ -131,8 +131,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def _doubled_ranks(values: list[float]) -> list[int]:
     """Twice the midranks of finite values, as exact integers: a run of ties
-    at sorted positions start .. end-1 shares the midrank (start+end+1)/2."""
-    _require_finite(values)
+    at sorted positions start .. end-1 shares the midrank (start+end+1)/2.
+    NaN would break the sort's order, so every caller checks first."""
     ends = {x: i + 1 for i, x in enumerate(sorted(values))}  # ascending, one past each tie run
     rank, start = {}, 0
     for x, end in ends.items():  # x fills sorted positions start .. end-1
@@ -142,7 +142,9 @@ def _doubled_ranks(values: list[float]) -> list[int]:
 
 def midranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n with tied values sharing the average of their positions."""
-    return [0.5 * r for r in _doubled_ranks(list(map(float, values)))]
+    floats = list(map(float, values))
+    _require_finite(floats)
+    return [0.5 * r for r in _doubled_ranks(floats)]
 
 
 # rho comes from the doubled ranks: the exact column of the midranks is either

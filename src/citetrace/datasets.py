@@ -15,7 +15,8 @@ as a whole, which the scoring kernel takes as they are.  A chunk that
 fails its check is parsed row by row on its own, so their errors are
 those of ``parse_summary_csv`` and ``parse_citations_csv``.  The chunks
 are those of ``partition.chunks``, which every reader and the scoring
-kernel share.
+kernel share.  The three CSV readers, these two and ``parse_metric_csv``,
+share one row loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import csv
 import io
 import math
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
 from .partition import (SummaryRecord, chunks, columns_valid, ranked_summary, record_columns,
@@ -68,12 +70,10 @@ class MetricTable(NamedTuple):
 def _text(data: Union[bytes, str]) -> str:
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8-sig")
+            return data.decode("utf-8-sig")  # one leading BOM off, as for text
         except UnicodeDecodeError:
             raise ParseError("input is not UTF-8 text") from None
-    else:
-        text = data.lstrip("﻿")
-    return text
+    return data.removeprefix("\ufeff")
 
 
 def _rows(data: Union[bytes, str]) -> Iterator[tuple[int, list[str]]]:
@@ -110,13 +110,13 @@ def _body(data: Union[bytes, str], kind: str,
     return rows
 
 
-def _parse_csv(rows: Iterable[tuple[int, list[str]]], header: tuple[str, ...],
-               record: Callable[[str, list[str]], SummaryRecord],
-               seen: set[str]) -> list[SummaryRecord]:
-    """The row loop both record CSVs share: column count, and stripped names
-    unique against seen, which gains each; ``record(name, cells)`` builds
-    each row's record, and its errors gain the row number."""
-    records: list[SummaryRecord] = []
+def _parse_csv(rows: Iterable[tuple[int, list[str]]], header: Sequence[str],
+               record: Callable[[str, list[str]], object], seen: set[str]) -> list:
+    """The row loop all three CSVs share: blank rows skipped, the column
+    count, and stripped names unique against seen, which gains each;
+    ``record(name, cells)`` builds each row's item, and its errors gain the
+    row number."""
+    records = []
     for line, row in rows:
         if not row:
             continue
@@ -140,10 +140,6 @@ def _dataset(data: Union[bytes, str], kind: str, header: tuple[str, ...], record
     return DatasetFile(format=f"{kind}-csv", records=tuple(records), source=source, window=window)
 
 
-# Each cell converts as it stands in one map(int) call.  int() strips the
-# whitespace str.strip() does except "\x1c" to "\x1f", so a cell padded with
-# those, or a bad cell, takes the per-cell loop, which names the first bad cell.
-
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # the decimal literals int() accepts
 _QUOTED = 40  # characters of a rejected cell that its error quotes
 
@@ -163,35 +159,34 @@ def _too_large(what: str, cell: str) -> ParseError | None:
     return ParseError(f"{what} is too large: an integer of {digits} digits, {_quote(text)}")
 
 
-def _summary_row(name: str, cells: list[str]) -> SummaryRecord:
+def _integers(cells: list[str], labels: Iterable[str], message: str) -> list[int]:
+    """The cells as integers, in one map(int) call as they stand.  int()
+    strips the whitespace str.strip() does except "\\x1c" to "\\x1f", so a
+    cell padded with those, or a bad cell, takes the per-cell loop, where the
+    first bad cell is a ParseError under its label: too large, or message
+    formatted with its label and its quoted text."""
     try:
-        values = list(map(int, cells))
+        return list(map(int, cells))
     except ValueError:
         values = []
-        for cell, label in zip(cells, SUMMARY_HEADER[1:]):
+        for cell, label in zip(cells, labels):
             try:
                 values.append(int(cell.strip()))
             except ValueError:
                 raise (_too_large(label, cell)
-                       or ParseError(f"{label} is not an integer: {_quote(cell)}")) from None
-    return SummaryRecord(name, *values)  # P, h, Pz, C, Ch in field order
+                       or ParseError(message.format(label=label, cell=_quote(cell)))) from None
+        return values
+
+
+def _summary_row(name: str, cells: list[str]) -> SummaryRecord:
+    return SummaryRecord(name, *_integers(cells, SUMMARY_HEADER[1:],  # in field order
+                                          "{label} is not an integer: {cell}"))
 
 
 def _parse_counts(cell: str) -> list[int]:
     if not cell.strip():
         raise ParseError("empty citation list")
-    tokens = cell.split(";")
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        counts = []
-        for token in tokens:
-            try:
-                counts.append(int(token.strip()))
-            except ValueError:
-                raise (_too_large("citation count", token)
-                       or ParseError(f"malformed citation count {_quote(token)}")) from None
-        return counts
+    return _integers(cell.split(";"), repeat("citation count"), "malformed citation count {cell}")
 
 
 def _citations_row(name: str, cells: list[str]) -> SummaryRecord:
@@ -215,39 +210,25 @@ class _Rejected(Exception):
     """A bulk check of CSV rows failed; the row-by-row parse says why."""
 
 
-def _summary_checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
-    """The columns (names, P, h, Pz, C, Ch) of non-blank summary CSV rows,
-    converted and checked a column at a time, the names against seen too;
-    _Rejected when a row may be bad."""
-    if set(map(len, rows)) != {len(SUMMARY_HEADER)}:
-        raise _Rejected
-    names, *cells = zip(*rows)
-    names = list(map(str.strip, names))
+def _summary_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[list[int]]:
+    """The columns (P, h, Pz, C, Ch) of a chunk's summary cells, converted
+    and checked a column at a time; _Rejected when a row may be bad."""
     try:
         counts = [list(map(int, column)) for column in cells]
     except ValueError:
         raise _Rejected from None
-    if not (len(set(names)) == len(names) and seen.isdisjoint(names)
-            and columns_valid(names, *counts)):
+    if not columns_valid(names, *counts):
         raise _Rejected
-    seen.update(names)
-    return (names, *counts)
+    return counts
 
 
-def _citations_checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...]:
-    """The columns (names, P, h, Pz, C, Ch) of non-blank citations CSV rows:
-    each list converted in one map(int) call and summarized highest first,
-    the names checked against seen too; _Rejected when a row may be bad.
-    A list of counts >= 0 under a new, non-blank name always gives a valid
-    summary, so nothing else is checked."""
-    if set(map(len, rows)) != {len(CITATIONS_HEADER)}:
-        raise _Rejected
-    names, cells = zip(*rows)
-    names = list(map(str.strip, names))
-    if not (all(names) and len(set(names)) == len(names) and seen.isdisjoint(names)):
-        raise _Rejected
+def _citations_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[list[int]]:
+    """The columns (P, h, Pz, C, Ch) of a chunk's citation lists: each list
+    converted in one map(int) call and summarized highest first; _Rejected
+    when a row may be bad.  A list of counts >= 0 under a new, non-blank
+    name always gives a valid summary, so nothing else is checked."""
     summaries = []
-    for cell in cells:
+    for cell in cells[0]:
         try:
             counts = sorted(map(int, cell.split(";")), reverse=True)
         except ValueError:
@@ -255,8 +236,7 @@ def _citations_checked(rows: list[list[str]], seen: set[str]) -> tuple[list, ...
         if counts[-1] < 0:
             raise _Rejected
         summaries.append(ranked_summary(counts))
-    seen.update(names)
-    return (names, *map(list, zip(*summaries)))
+    return list(map(list, zip(*summaries)))
 
 
 def _line_chunks(data: Union[bytes, str], kind: str, header: tuple[str, ...],
@@ -277,18 +257,27 @@ def _columns(data: Union[bytes, str], kind: str, header: tuple[str, ...], record
     """The rows of a record CSV as chunks of columns (names, P, h, Pz, C,
     Ch), in input order, with no record per row.
 
-    ``checked(rows, seen)`` converts and checks a chunk's non-blank rows as
-    a whole before it is yielded.  Its checks are only a guard: a chunk
-    that fails them is parsed row by row on its own, with the names seen so
-    far, which raises the chunk's first error with the text of the
-    whole-file parse, or gives its columns; the next chunk is checked as a
-    whole again."""
+    A chunk's non-blank rows are checked as a whole before it is yielded:
+    each has the header's column count, and the stripped names are
+    non-blank, unique and new; then ``checked(names, cells)`` gives the
+    count columns from the cell columns after the names.  These checks are
+    only a guard: a chunk that fails them is parsed row by row on its own,
+    with the names seen so far, which raises the chunk's first error with
+    the text of the whole-file parse, or gives its columns; the next chunk
+    is checked as a whole again."""
     seen: set[str] = set()
     for lines in _line_chunks(data, kind, header, record):
         rows = [row for _, row in lines if row]
         if rows:
             try:
-                columns = checked(rows, seen)
+                if set(map(len, rows)) != {len(header)}:
+                    raise _Rejected
+                names, *cells = zip(*rows)
+                names = list(map(str.strip, names))
+                if not (all(names) and len(set(names)) == len(names) and seen.isdisjoint(names)):
+                    raise _Rejected
+                columns = (names, *checked(names, cells))
+                seen.update(names)
             except _Rejected:
                 columns = record_columns(_parse_csv(lines, header, record, seen))
             yield columns
@@ -380,6 +369,16 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
     return DatasetFile(format="json", records=tuple(records), source=source, window=window)
 
 
+def _metric_row(name: str, cells: list[str]) -> tuple[str, tuple[float, ...]]:
+    try:
+        values = tuple(map(float, cells))
+    except ValueError:
+        raise ParseError("metric values must be numeric") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError("metric values must be finite")
+    return name, values
+
+
 def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
     """Parse an external metric file: header ``name,<metric>[,<metric>...]``."""
     reader = _rows(data)
@@ -392,23 +391,7 @@ def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
     for i, metric in enumerate(metrics):
         if metric in metrics[:i]:
             raise ParseError(f"metric CSV has a duplicate metric column {metric!r}")
-    rows: dict[str, tuple[float, ...]] = {}
-    for line, row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"row {line}: expected {len(header)} columns, got {len(row)}")
-        name = row[0].strip()
-        if name in rows:
-            raise DuplicateEntity(f"row {line}: duplicate entity {name!r}")
-        try:
-            values = tuple(map(float, row[1:]))
-        except ValueError:
-            raise ParseError(f"row {line}: metric values must be numeric") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"row {line}: metric values must be finite")
-        rows[name] = values
-    return MetricTable(metrics=metrics, rows=rows)
+    return MetricTable(metrics=metrics, rows=dict(_parse_csv(reader, header, _metric_row, set())))
 
 
 def dataset_to_csv(dataset: DatasetFile) -> str:

@@ -218,18 +218,18 @@ class TestRejectedChunk:
 
 class TestRowsOfBytes:
     """Bytes are decoded 8 KB at a time as rows are read: the rows and line
-    numbers equal those of the decoded text, where a line may end at \\n, \\r
-    or \\r\\n and nowhere else, whatever straddles a decoding boundary."""
+    numbers equal those of the text, where a line may end at \\n, \\r or
+    \\r\\n and nowhere else, whatever straddles a decoding boundary.  Both
+    lose one leading BOM, and only one."""
 
     @settings(max_examples=300)
-    @given(st.integers(8150, 8200), st.booleans(),
+    @given(st.integers(8150, 8200), st.integers(0, 2),
            st.lists(st.sampled_from(["a", ",", '"', "\r", "\n", "\r\n", "é", "😀",
                                      "\x85", "\u2028", "\x0b", "\x1c"]),
                     max_size=60).map("".join))
-    def test_rows_equal_those_of_the_text(self, pad, bom, tail):
-        text = "x,y\n" + "z" * pad + tail
-        data = ("\ufeff" if bom else "").encode() + text.encode()
-        assert list(datasets._rows(data)) == list(datasets._rows(text))
+    def test_rows_equal_those_of_the_text(self, pad, boms, tail):
+        text = "\ufeff" * boms + "x,y\n" + "z" * pad + tail
+        assert list(datasets._rows(text.encode())) == list(datasets._rows(text))
 
 
 class TestParseCitationsCsv:
@@ -310,6 +310,10 @@ class TestParseJson:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_json("{nope")
+        # text and bytes each lose one leading BOM, so a second one is invalid in both
+        for data in ("\ufeff\ufeff[]", "\ufeff\ufeff[]".encode()):
+            with pytest.raises(ParseError, match="^invalid JSON: Unexpected UTF-8 BOM"):
+                parse_json(data)
 
     def test_boolean_count_rejected(self):
         with pytest.raises(ParseError):
@@ -440,21 +444,26 @@ class TestOneRecordType:
 
 class TestParseMetricCsv:
     def test_multiple_metric_columns(self):
-        table = parse_metric_csv("name,IF,IF5\nA,1.5,2.5\nB,0.4,0.9\n")
+        table = parse_metric_csv("name,IF,IF5\n\n A ,1.5,2.5\nB,0.4,0.9\n")  # blank line, padded name
         assert table.metrics == ("IF", "IF5")
-        assert table.rows["A"] == (1.5, 2.5)
+        assert table.rows == {"A": (1.5, 2.5), "B": (0.4, 0.9)}
 
     def test_bad_header(self):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(ParseError) as err:
             parse_metric_csv("entity,IF\nA,1\n")
+        assert str(err.value) == "metric CSV header must be name,<metric>[,<metric>...]"
 
-    def test_non_numeric_value(self):
-        with pytest.raises(ParseError, match="numeric"):
-            parse_metric_csv("name,IF\nA,high\n")
-
-    def test_duplicate_entity(self):
-        with pytest.raises(DuplicateEntity):
-            parse_metric_csv("name,IF\nA,1\nA,2\n")
+    @pytest.mark.parametrize("data, error, message", [
+        ("name,IF\nA,1\nB,1,2\n", ParseError, "row 3: expected 2 columns, got 3"),
+        ("name,IF\nA,1\n\n A ,2\n", DuplicateEntity, "row 4: duplicate entity 'A'"),
+        ("name,IF\nA,high\n", ParseError, "row 2: metric values must be numeric"),
+        ("name,IF\nA,nan\n", ParseError, "row 2: metric values must be finite"),
+        ("name,IF\nA,1e400\n", ParseError, "row 2: metric values must be finite"),
+    ], ids=["columns", "duplicate", "numeric", "nan", "overflow"])
+    def test_row_error_text(self, data, error, message):
+        with pytest.raises(CitetraceError) as err:
+            parse_metric_csv(data)
+        assert (type(err.value), str(err.value)) == (error, message)
 
     def test_duplicate_metric_column(self):
         with pytest.raises(ParseError, match="duplicate metric column 'IF'"):
