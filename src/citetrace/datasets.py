@@ -272,11 +272,12 @@ def _columns(data: Union[bytes, str], kind: str, header: tuple[str, ...], record
             try:
                 if set(map(len, rows)) != {len(header)}:
                     raise _Rejected
-                names, *cells = zip(*rows)
+                names, *columns = zip(*rows)
                 names = list(map(str.strip, names))
                 if not (all(names) and len(set(names)) == len(names) and seen.isdisjoint(names)):
                     raise _Rejected
-                columns = (names, *checked(names, cells))
+                # the cell columns are let go here, not kept alive across the yield
+                columns = (names, *checked(names, columns))
                 seen.update(names)
             except _Rejected:
                 columns = record_columns(_parse_csv(lines, header, record, seen))
