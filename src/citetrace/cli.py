@@ -147,9 +147,14 @@ def _format_sig(value: float, figures: int) -> str:
         return str(value)
     digits = figures - 1 - math.floor(math.log10(abs(value)))
     if figures - digits <= _FIXED_WIDTH:  # at most that many digits before the point
-        # Both round the exact binary value half to even; a value this small
+        # Each rounds the exact binary value half to even; a value this small
         # cannot round past the float maximum.
-        text = "%.*f" % (digits, value) if digits > 0 else "%.0f" % round(value, digits)
+        if digits > 0:
+            text = "%.*f" % (digits, value)
+        elif abs(value) < 2 ** 53:  # a float holds the rounded integer exactly
+            text = "%.0f" % round(value, digits)
+        else:  # the value is an integer; round() keeps it exact
+            text = str(round(int(value), digits))
         if len(text) <= _FIXED_WIDTH:
             return text
     return "%.*e" % (figures - 1, value)

@@ -377,6 +377,8 @@ def _metric_row(name: str, cells: list[str]) -> tuple[str, tuple[float, ...]]:
         raise ParseError("metric values must be numeric") from None
     if not all(map(math.isfinite, values)):
         raise ParseError("metric values must be finite")
+    if not name:
+        raise ValidationError("entity name must be non-empty")
     return name, values
 
 

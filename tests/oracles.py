@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -143,10 +144,10 @@ def format_sig(value: float, figures: int) -> str:
     if value == 0 or not math.isfinite(value):
         return str(value)
     exponent = math.floor(math.log10(abs(value)))
-    if exponent < FIXED_WIDTH:  # so round() cannot pass the float maximum
+    if exponent < FIXED_WIDTH:
         digits = figures - 1 - exponent
-        rounded = round(value, digits)
-        text = f"{rounded:.0f}" if digits <= 0 else f"{rounded:.{digits}f}"
+        rounded = Decimal(value).quantize(Decimal(1).scaleb(-digits), ROUND_HALF_EVEN)
+        text = f"{rounded:f}"
         if len(text) <= FIXED_WIDTH:
             return text
     return f"{value:.{figures - 1}e}"

@@ -34,8 +34,7 @@ TRIO_CITATIONS = "name,citations\nA,1\nB,3;2\nC,5;4;3\n"
 DATA = Path(__file__).parent / "data"
 
 # Every report frozen as a byte snapshot: file name in tests/data -> argv,
-# with paths relative to the root of the repository.  CI's runtime-only step
-# checks the same list.
+# with paths relative to the root of the repository.
 SNAPSHOTS = json.loads((DATA / "snapshots.json").read_text())
 # Full-precision csv output of compute and rank (every column at repr
 # precision): any change to a float's evaluation order shows up here.
@@ -445,7 +444,7 @@ class TestLazyImports:
         added = set(proc.stdout.split())
         assert "citetrace.cli" in added
         assert added & {"click", "citetrace.reference", "dataclasses", "decimal", "inspect",
-                        "json", "numbers"} == set()
+                        "json", "numbers", "numpy", "scipy"} == set()
 
     def test_no_public_name_is_a_dataclass(self):
         import dataclasses
@@ -499,6 +498,40 @@ class TestBadInputEndsInOneLineError:
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
         assert needle in proc.stderr
+
+
+class TestFirstBadRow:
+    """A citations or metric CSV names its first bad row, in one line."""
+
+    CITATIONS = ["compute", "--format", "citations", "--input"]
+    METRICS = ["correlate", "--input", "corpus", "--metric-file"]
+
+    @pytest.mark.parametrize("data, command, message", [
+        ("name,citations\nA,1\nB,4;-1\n", CITATIONS,
+         "error: row 3: B: citation count must be >= 0, got -1"),
+        ("name,citations\nA,1\nB,\n", CITATIONS, "error: row 3: empty citation list"),
+        ("name,IF\nNature,1\n\n Nature ,2\n", METRICS, "error: row 4: duplicate entity 'Nature'"),
+        ("name,IF\nNature,1\nScience,1,2\n", METRICS, "error: row 3: expected 2 columns, got 3"),
+        ("name,IF\n,1\nNature,2\n", METRICS, "error: row 2: entity name must be non-empty"),
+    ], ids=["negative", "empty-list", "duplicate-metric", "long-metric-row", "blank-metric-name"])
+    def test_exit_one_with_the_row(self, runner, tmp_path, data, command, message):
+        path = tmp_path / "data.csv"
+        path.write_text(data)
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == message + "\n"
+
+    def test_padded_citation_count(self, runner, tmp_path):
+        # int() keeps the "\x1c" that str.strip() removes
+        outputs = []
+        for cell in ["4;1", "\x1c4\x1c;1"]:
+            path = tmp_path / "data.csv"
+            path.write_text(f"name,citations\nA,1\nB,{cell}\n")
+            result = invoke(runner, [*self.CITATIONS, str(path)])
+            assert result.exit_code == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestIntegerPastDigitLimit:

@@ -459,7 +459,8 @@ class TestParseMetricCsv:
         ("name,IF\nA,high\n", ParseError, "row 2: metric values must be numeric"),
         ("name,IF\nA,nan\n", ParseError, "row 2: metric values must be finite"),
         ("name,IF\nA,1e400\n", ParseError, "row 2: metric values must be finite"),
-    ], ids=["columns", "duplicate", "numeric", "nan", "overflow"])
+        ("name,IF\n,1\nB,2\n", ValidationError, "row 2: entity name must be non-empty"),
+    ], ids=["columns", "duplicate", "numeric", "nan", "overflow", "blank-name"])
     def test_row_error_text(self, data, error, message):
         with pytest.raises(CitetraceError) as err:
             parse_metric_csv(data)

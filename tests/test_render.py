@@ -239,9 +239,9 @@ def test_table_number_texts_hold_no_newline():
     (sys.float_info.max, 1, "2e+308"),
     (-sys.float_info.max, 4, "-1.798e+308"),
     (sys.float_info.max, 17, "1.7976931348623157e+308"),
-    (9e127, 1, f"{9e127:.0f}"),  # 128 digits
+    (9e127, 1, "9" + "0" * 127),  # 128 digits
     (-9e127, 1, "-9e+127"),  # 128 digits and the sign
-    (1e23, 1, "99999999999999991611392"),  # round() returns the float nearest 10**23
+    (1e23, 1, "1" + "0" * 23),  # the float is 99999999999999991611392
     (2.5, 1, "2"),
     (3.5, 1, "4"),
 ])
