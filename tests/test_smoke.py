@@ -15,8 +15,9 @@ DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
 STDLIB_ONLY_MODULES = ["test_cli", "test_reference", "test_smoke"]
 TEST_ONLY_PACKAGES = ["click", "hypothesis", "mpmath", "numpy", "scipy"]
 
-# Imports the modules named after the tests directory with every package
-# named after them blocked, and exits naming any blocked import they tried.
+# Arguments: the tests directory, then the modules to import and the packages
+# to block, each comma-separated.  Exits naming every blocked import the
+# modules asked for, even one they catch.
 BLOCKED_IMPORT_PROBE = """
 import importlib, sys
 
