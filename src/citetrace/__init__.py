@@ -11,16 +11,6 @@ significance levels, dataset parsing, and a bundled reference corpus
 with golden expected values.
 """
 
-from .correlation import (
-    CorrelationReport,
-    PairCorrelation,
-    correlation_report,
-    midranks,
-    pearson,
-    significance,
-    spearman,
-    stars,
-)
 from .datasets import (
     DatasetFile,
     MetricTable,
@@ -53,7 +43,18 @@ from .ranking import rank_entities
 __version__ = "0.1.0"
 
 # Loaded on first use (PEP 562): only the bundled corpus needs the
-# reference module, and importing it costs more than any other module.
+# reference module, and importing it costs more than any other module;
+# only correlate needs the correlation module.
+_CORRELATION_NAMES = {
+    "CorrelationReport",
+    "PairCorrelation",
+    "correlation_report",
+    "midranks",
+    "pearson",
+    "significance",
+    "spearman",
+    "stars",
+}
 _REFERENCE_NAMES = {
     "ReferenceCorpus",
     "ReferenceReport",
@@ -66,6 +67,10 @@ _REFERENCE_NAMES = {
 
 
 def __getattr__(name: str):
+    if name in _CORRELATION_NAMES:
+        from . import correlation
+
+        return getattr(correlation, name)
     if name in _REFERENCE_NAMES:
         from . import reference
 

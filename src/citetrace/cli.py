@@ -23,7 +23,6 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .correlation import correlation_report
 from .datasets import (MetricTable, citation_columns, parse_json, parse_metric_csv,
                        summary_columns)
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
@@ -412,6 +411,8 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     names; default is T plus every metric column, or T/h/I3X/I3Y when no
     metric file is given.
     """
+    from .correlation import correlation_report  # here: only correlate needs it
+
     table = _scored(input_, format_, group)
     metrics = _load_metrics(metric_file) if metric_file else None
     matched, metric_columns = _join_metrics(table.name, metrics)

@@ -11,12 +11,14 @@ before a dataset is accepted.
 The ``parse_*`` functions yield ``SummaryRecord``s.  ``summary_columns``
 and ``citation_columns`` read the two CSV formats without a record per
 row: as chunks of integer columns (names, P, h, Pz, C, Ch), each checked
-as a whole, which the scoring kernel takes as they are.  A chunk that
-fails its check is parsed row by row on its own, so their errors are
-those of ``parse_summary_csv`` and ``parse_citations_csv``.  The chunks
-are those of ``partition.chunks``, which every reader and the scoring
-kernel share.  The three CSV readers, these two and ``parse_metric_csv``,
-share one row loop.
+as a whole, which the scoring kernel takes as they are.  A citations
+chunk converts each distinct count text once.  ``parse_metric_csv`` reads
+its rows the same way, as chunks of float columns.  The three CSV
+readers share one chunk loop, ``_columns``: a chunk that fails its check
+is parsed row by row on its own, by the row loop that ``parse_summary_csv``
+and ``parse_citations_csv`` run over a whole file, so the errors are
+theirs.  The chunks are those of ``partition.chunks``, which every reader
+and the scoring kernel share.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ import csv
 import io
 import math
 import re
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import (SummaryRecord, chunks, columns_valid, ranked_summary, record_columns,
-                        summarize)
+from .partition import (_CHUNK_ROWS, SummaryRecord, chunks, columns_valid, ranked_summary,
+                        record_columns, summarize)
 
 __all__ = [
     "DatasetFile",
@@ -222,15 +224,31 @@ def _summary_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[lis
     return counts
 
 
+class _Counts(dict):
+    """Count texts and their integers: each text is converted once, and a
+    text that int() rejects raises its ValueError and is not kept."""
+
+    def __missing__(self, text: str) -> int:
+        count = self[text] = int(text)
+        return count
+
+
+_MEMO_TEXTS = 4 * _CHUNK_ROWS  # texts a _Counts holds before it starts over: about 0.5 MB
+
+
 def _citations_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[list[int]]:
     """The columns (P, h, Pz, C, Ch) of a chunk's citation lists: each list
-    converted in one map(int) call and summarized highest first; _Rejected
-    when a row may be bad.  A list of counts >= 0 under a new, non-blank
-    name always gives a valid summary, so nothing else is checked."""
+    converted through the chunk's count texts, each distinct text once, and
+    summarized highest first; _Rejected when a row may be bad.  A list of
+    counts >= 0 under a new, non-blank name always gives a valid summary, so
+    nothing else is checked."""
+    memo = _Counts()
     summaries = []
     for cell in cells[0]:
+        if len(memo) > _MEMO_TEXTS:
+            memo.clear()
         try:
-            counts = sorted(map(int, cell.split(";")), reverse=True)
+            counts = sorted(map(memo.__getitem__, cell.split(";")), reverse=True)
         except ValueError:
             raise _Rejected from None
         if counts[-1] < 0:
@@ -239,34 +257,36 @@ def _citations_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[l
     return list(map(list, zip(*summaries)))
 
 
-def _line_chunks(data: Union[bytes, str], kind: str, header: tuple[str, ...],
+def _line_chunks(body: Callable[[], Iterator[tuple[int, list[str]]]], header: Sequence[str],
                  record) -> Iterator[list[tuple[int, list[str]]]]:
-    """The ``chunks`` of a record CSV's rows after its header.  A row that
-    the csv module rejects leaves the rows before it in its chunk
-    unchecked, so the whole file is then parsed row by row, which names the
-    first error in input order."""
+    """The ``chunks`` of the rows that ``body()`` gives.  A row that the csv
+    module rejects leaves the rows before it in its chunk unchecked, so the
+    whole body is then parsed row by row, which names the first error in
+    input order."""
     try:
-        yield from chunks(_body(data, kind, header))
+        yield from chunks(body())
     except ParseError:
-        _parse_csv(_body(data, kind, header), header, record, set())
+        _parse_csv(body(), header, record, set())
         raise
 
 
-def _columns(data: Union[bytes, str], kind: str, header: tuple[str, ...], record,
-             checked) -> Iterator[tuple[list, ...]]:
-    """The rows of a record CSV as chunks of columns (names, P, h, Pz, C,
-    Ch), in input order, with no record per row.
+def _columns(body: Callable[[], Iterator[tuple[int, list[str]]]], header: Sequence[str], record,
+             checked, collect) -> Iterator[tuple[list, ...]]:
+    """The rows that ``body()`` gives after a CSV's header, as chunks of
+    columns (names, then the kind's value columns), in input order, with no
+    item per row.
 
     A chunk's non-blank rows are checked as a whole before it is yielded:
     each has the header's column count, and the stripped names are
     non-blank, unique and new; then ``checked(names, cells)`` gives the
-    count columns from the cell columns after the names.  These checks are
+    value columns from the cell columns after the names.  These checks are
     only a guard: a chunk that fails them is parsed row by row on its own,
     with the names seen so far, which raises the chunk's first error with
-    the text of the whole-file parse, or gives its columns; the next chunk
-    is checked as a whole again."""
+    the text of the whole-file parse, or gives its items, which
+    ``collect`` turns into columns; the next chunk is checked as a whole
+    again."""
     seen: set[str] = set()
-    for lines in _line_chunks(data, kind, header, record):
+    for lines in _line_chunks(body, header, record):
         rows = [row for _, row in lines if row]
         if rows:
             try:
@@ -280,7 +300,7 @@ def _columns(data: Union[bytes, str], kind: str, header: tuple[str, ...], record
                 columns = (names, *checked(names, columns))
                 seen.update(names)
             except _Rejected:
-                columns = record_columns(_parse_csv(lines, header, record, seen))
+                columns = collect(_parse_csv(lines, header, record, seen))
             yield columns
 
 
@@ -288,14 +308,16 @@ def summary_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
     """The rows of a summary CSV as chunks of columns (names, P, h, Pz, C,
     Ch), with no record per row; the errors are those of
     ``parse_summary_csv``."""
-    return _columns(data, "summary", SUMMARY_HEADER, _summary_row, _summary_checked)
+    return _columns(lambda: _body(data, "summary", SUMMARY_HEADER), SUMMARY_HEADER,
+                    _summary_row, _summary_checked, record_columns)
 
 
 def citation_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
     """The summaries of a citations CSV as chunks of columns (names, P, h,
     Pz, C, Ch), with no record per row; the errors are those of
     ``parse_citations_csv``."""
-    return _columns(data, "citations", CITATIONS_HEADER, _citations_row, _citations_checked)
+    return _columns(lambda: _body(data, "citations", CITATIONS_HEADER), CITATIONS_HEADER,
+                    _citations_row, _citations_checked, record_columns)
 
 
 def _json_counts(cell) -> list[int]:
@@ -382,10 +404,29 @@ def _metric_row(name: str, cells: list[str]) -> tuple[str, tuple[float, ...]]:
     return name, values
 
 
+def _metric_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[list[float]]:
+    """The value columns of a chunk's metric cells, each converted in one
+    map(float) call; _Rejected when a row may be bad.  A column of finite
+    values can still sum past the float range, so such a column is also
+    sent to the row parse, which accepts it."""
+    try:
+        columns = [list(map(float, column)) for column in cells]
+    except ValueError:
+        raise _Rejected from None
+    if not all(map(math.isfinite, map(sum, columns))):
+        raise _Rejected
+    return columns
+
+
+def _metric_columns(items: list[tuple[str, tuple[float, ...]]]) -> tuple[Sequence, ...]:
+    """The (name, values) items of the row parse as columns (names, values...)."""
+    names, values = zip(*items)
+    return (names, *zip(*values))
+
+
 def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
     """Parse an external metric file: header ``name,<metric>[,<metric>...]``."""
-    reader = _rows(data)
-    _, header = next(reader, (0, None))
+    _, header = next(_rows(data), (0, None))
     if header is None or len(header) < 2 or header[0].strip() != "name":
         raise ParseError("metric CSV header must be name,<metric>[,<metric>...]")
     metrics = tuple(h.strip() for h in header[1:])
@@ -394,7 +435,11 @@ def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
     for i, metric in enumerate(metrics):
         if metric in metrics[:i]:
             raise ParseError(f"metric CSV has a duplicate metric column {metric!r}")
-    return MetricTable(metrics=metrics, rows=dict(_parse_csv(reader, header, _metric_row, set())))
+    rows: dict[str, tuple[float, ...]] = {}
+    for names, *columns in _columns(lambda: islice(_rows(data), 1, None), header, _metric_row,
+                                    _metric_checked, _metric_columns):
+        rows.update(zip(names, zip(*columns)))
+    return MetricTable(metrics=metrics, rows=rows)
 
 
 def dataset_to_csv(dataset: DatasetFile) -> str:

@@ -432,6 +432,22 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
+# Whether the commands that never correlate load citetrace.correlation, and
+# whether the package still gives its correlation names.
+CORRELATION_PROBE = """
+import json, sys
+from citetrace.cli import main
+for args in [["--help"], ["compute", "--input", "corpus"], ["rank", "--input", "corpus"]]:
+    main(args, standalone_mode=False)
+loaded = "citetrace.correlation" in sys.modules
+import citetrace
+citetrace.pearson([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
+names = {}
+exec("from citetrace import *", names)
+print(json.dumps([loaded, citetrace.pearson.__module__, sorted(set(citetrace.__all__) - set(names))]))
+"""
+
+
 class TestLazyImports:
     """decimal and json load only in the calls that need them, and every
     record and result type is a NamedTuple, so no call loads dataclasses
@@ -445,6 +461,12 @@ class TestLazyImports:
         assert "citetrace.cli" in added
         assert added & {"click", "citetrace.reference", "dataclasses", "decimal", "inspect",
                         "json", "numbers", "numpy", "scipy"} == set()
+
+    def test_only_correlate_loads_the_correlation_module(self):
+        proc = subprocess.run([sys.executable, "-c", CORRELATION_PROBE],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, "citetrace.correlation", []]
 
     def test_no_public_name_is_a_dataclass(self):
         import dataclasses

@@ -177,6 +177,51 @@ class TestCitationColumns:
             lambda: [] if not parse_citations_csv(data).records else None)
 
 
+class TestCountMemo:
+    """citation_columns converts each distinct count text once per chunk; the
+    columns, or the first error, stay those of parse_citations_csv."""
+
+    @staticmethod
+    def _same_as_the_row_parse(data):
+        got = _outcome(lambda: _joined(citation_columns(data)))
+        assert got == _outcome(lambda: record_columns(parse_citations_csv(data).records))
+        return got
+
+    def test_one_count_written_several_ways(self):
+        data = "name,citations\na,7;70\nb, 7 ;7_0\nc,07;+7;70\nd,7;7;7_0\n"
+        with mock.patch.object(datasets._Counts, "__missing__", autospec=True,
+                               side_effect=datasets._Counts.__missing__) as convert:
+            got = self._same_as_the_row_parse(data)
+        assert got[4] == [77, 77, 84, 84]  # C: every text of 7 read as 7, "7_0" as 70
+        assert sorted(call.args[1] for call in convert.call_args_list) == [
+            " 7 ", "+7", "07", "7", "70", "7_0"]
+
+    def test_a_count_past_the_digit_limit_is_never_kept(self):
+        big = "9" * 4301
+        memo = datasets._Counts()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                memo[big]
+        assert big not in memo
+        got = self._same_as_the_row_parse(f"name,citations\na,1;{big}\nb,{big};2\n")
+        assert got == (ParseError, "row 2: citation count is too large: an integer of 4301 "
+                                   f"digits, {big[:40]!r}...")
+
+    def test_more_distinct_texts_than_the_memo_holds(self, monkeypatch):
+        cleared = []
+
+        class Counts(datasets._Counts):
+            def clear(self):
+                cleared.append(len(self))
+                super().clear()
+
+        monkeypatch.setattr(datasets, "_Counts", Counts)
+        monkeypatch.setattr(datasets, "_MEMO_TEXTS", 2)
+        lines = [f"e{i},{i};{i + 1};{2 * i}" for i in range(9)]
+        self._same_as_the_row_parse("\n".join(["name,citations", *lines]) + "\n")
+        assert cleared and all(2 < size <= 5 for size in cleared)
+
+
 class TestRejectedChunk:
     """A chunk that fails the bulk check is parsed row by row on its own;
     the chunks after it are checked in bulk again."""
@@ -214,6 +259,63 @@ class TestRejectedChunk:
         monkeypatch.setattr(partition, "_CHUNK_ROWS", 2)  # rows 4 and 5 make the second chunk
         got = _outcome(lambda: _joined(read(data)))
         assert got == _outcome(lambda: parse(data)) and got[1].startswith("row 4: ")
+
+
+@st.composite
+def metric_line(draw, i: int) -> str:
+    """Metric CSV row i under name,IF,IF5: most are valid, the rest break one
+    rule or another (column count, name, a value's text, a strict reader's
+    quoting) or are blank; 1e308 twice in a column sums past the float range."""
+    name = f"e{i}"
+    if draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(["", " ", "e0", " e1 ", '"d,e"', '"d,e"']))
+    cells = [draw(st.sampled_from(["1.5", "0", "-2", " 3 ", "2.5e-3", "1e308"])) for _ in "ab"]
+    if draw(st.integers(0, 4)) == 0:
+        cells[draw(st.integers(0, 1))] = draw(st.sampled_from(["nan", "inf", "x", "", '"2"3']))
+    if draw(st.integers(0, 11)) == 0:
+        cells = draw(st.sampled_from([[], cells[:1], [*cells, "2"]]))
+    return ",".join([name, *cells]) if cells or name else ""
+
+
+metric_files = st.integers(0, 10).flatmap(
+    lambda n: st.tuples(*(metric_line(i) for i in range(n))))
+
+
+def _metric_rows(data):
+    """The metric table as the row loop alone reads it: the reference."""
+    rows = datasets._rows(data)
+    _, header = next(rows)
+    values = datasets._parse_csv(rows, header, datasets._metric_row, set())
+    return tuple(h.strip() for h in header[1:]), dict(values)
+
+
+class TestMetricColumns:
+    """parse_metric_csv against the row loop: the same rows, or the same
+    first error, for any chunk size, with or without a strict reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(metric_files, st.sampled_from([1, 2, 3, 1024]), st.sampled_from(["\n", "\r\n"]),
+           st.booleans())
+    def test_rows_or_error_equal_the_row_loop(self, lines, chunk_rows, newline, strict):
+        data = newline.join(["name,IF, IF5 ", *lines]) + newline
+        reader = functools.partial(csv.reader, strict=True) if strict else csv.reader
+        with mock.patch.object(partition, "_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(csv, "reader", reader):
+            got = _outcome(lambda: tuple(parse_metric_csv(data)))
+            assert got == _outcome(lambda: _metric_rows(data))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+    @pytest.mark.parametrize("data", [
+        "name,IF,IF5\na,1e308,1e308\nb,1e308,1e308\n",
+        "name,IF,IF5\na,1,2\nb,3,4\nc,\"2\"3,5\n",
+    ], ids=["overflowing-sum", "strict-reader-error-later"])
+    def test_chunks_the_bulk_check_sends_to_the_row_loop(self, monkeypatch, data, chunk_rows):
+        monkeypatch.setattr(csv, "reader", functools.partial(csv.reader, strict=True))
+        monkeypatch.setattr(partition, "_CHUNK_ROWS", chunk_rows)
+        got = _outcome(lambda: tuple(parse_metric_csv(data)))
+        assert got == _outcome(lambda: _metric_rows(data))
+        assert got in [(("IF", "IF5"), {"a": (1e308, 1e308), "b": (1e308, 1e308)}),
+                       (ParseError, "row 4: ',' expected after '\"'")]
 
 
 class TestRowsOfBytes:
