@@ -300,55 +300,32 @@ _ALL = range(len(ScoreTable._fields))
 _MASKED = [i for i in _ALL if ScoreTable._fields[i] != "X3"]
 
 
-def _choice(choices: Sequence[str]) -> Callable[[str], str]:
-    """The check of an option whose value is one of choices."""
-    def check(value: str) -> str:
-        if value not in choices:
-            raise argparse.ArgumentTypeError(
-                f"{value!r} is not one of {', '.join(map(repr, choices))}.")
-        return value
-    return check
-
-
-def _figures(text: str) -> int:
-    """The check of --precision: an integer from 1 to 17."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
-    if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range 1<=x<=17.")
-    return value
-
-
 # Each option as (flags, argparse.add_argument keywords).
 _INPUT = ("--input",), dict(
     dest="input_", required=True, metavar="PATH",
-    help="Dataset path, or corpus / corpus:units for the bundled data.  [required]")
+    help="Dataset path, or corpus / corpus:units for the bundled data.")
 _FORMAT = ("--format",), dict(
-    dest="format_", type=_choice(_FORMATS), metavar=f"[{'|'.join(_FORMATS)}]",
+    dest="format_", choices=_FORMATS,
     help="Input format (default: by file extension; csv means summary).")
-_OUTPUT = ("--output",), dict(type=_choice(_OUTPUTS), default="table",
-                              metavar=f"[{'|'.join(_OUTPUTS)}]",
-                              help="Report format.  [default: table]")
+_OUTPUT = ("--output",), dict(choices=_OUTPUTS, default="table",
+                              help="Report format (default: table).")
 _GROUP = ("--group",), dict(metavar="NAME",
                             help="Keep only records tagged with this group (e.g. LIS).")
 _MASK = ("--mask-x3",), dict(action="store_true",
                              help="Drop the X3 column from the report (never from the trace).")
-_PRECISION = ("--precision",), dict(type=_figures, default=4, metavar="INTEGER RANGE",
-                                    help="Significant figures in table output.  "
-                                         "[default: 4; 1<=x<=17]")
+_PRECISION = ("--precision",), dict(type=int, choices=range(1, 18), default=4, metavar="1..17",
+                                    help="Significant figures in table output (default: 4).")
 _POSITIVE = ("--positive-only",), dict(action="store_true",
                                        help="Keep only entities with T > 0.")
 
-# Every command by name: its function, its usage after the program name
-# and its options.  The function's docstring is the command's help.
-_COMMANDS: dict[str, tuple[Callable[..., int | None], str, tuple]] = {}
+# Every command by name: its function and its options.  The function's
+# docstring is the command's help, and its first line the group help's entry.
+_COMMANDS: dict[str, tuple[Callable[..., int | None], tuple]] = {}
 
 
-def _command(name: str, *options: tuple, usage: str = "[OPTIONS]"):
+def _command(name: str, *options: tuple):
     def register(function):
-        _COMMANDS[name] = (function, usage, options)
+        _COMMANDS[name] = (function, options)
         return function
     return register
 
@@ -363,9 +340,8 @@ def compute(input_, format_, output, group, mask_x3, precision) -> None:
 
 
 @_command("rank", _INPUT, _FORMAT, _OUTPUT, _GROUP,
-          (("--key",), dict(type=_choice(INDICATOR_KEYS), default="T",
-                            metavar=f"[{'|'.join(INDICATOR_KEYS)}]",
-                            help="Indicator to sort by (descending).  [default: T]")),
+          (("--key",), dict(choices=INDICATOR_KEYS, default="T",
+                            help="Indicator to sort by, descending (default: T).")),
           _POSITIVE, _MASK, _PRECISION)
 def rank(input_, format_, output, group, key, positive_only, mask_x3, precision) -> None:
     """Rank entities by an indicator; ties break by name."""
@@ -402,8 +378,8 @@ def _join_metrics(names: Sequence[str], metrics: MetricTable | None):
           (("--metric-file",), dict(
               metavar="PATH",
               help="CSV of external per-entity metrics (header: name,<metric>...).")),
-          _PRECISION, (("columns",), dict(nargs="*", help=argparse.SUPPRESS)),
-          usage="[OPTIONS] [COLUMNS]...")
+          _PRECISION, (("columns",), dict(nargs="*", metavar="COLUMNS",
+                                          help="Indicator ids or metric-file column names.")))
 def correlate(input_, format_, output, group, metric_file, precision, columns) -> None:
     """Pearson and Spearman correlations between indicator/metric columns.
 
@@ -458,7 +434,7 @@ def validate_reference() -> int:
 @_command("plot-data", _INPUT, _FORMAT, _GROUP,
           (("--metric-file",), dict(
               required=True, metavar="PATH",
-              help="CSV of external per-entity metrics to pair with the trace.  [required]")),
+              help="CSV of external per-entity metrics to pair with the trace.")),
           _POSITIVE)
 def plot_data(input_, format_, group, metric_file, positive_only) -> None:
     """Emit name,T,<metric> rows for external plotting."""
@@ -473,111 +449,48 @@ def plot_data(input_, format_, group, metric_file, positive_only) -> None:
 
 
 _DESCRIPTION = "h-index core/tail analytics: performance matrices and academic traces."
-_GROUP_USAGE = "Usage: {} [OPTIONS] COMMAND [ARGS]...\n"
-
-
-def _help_width() -> int:
-    """The help's width: the terminal's, from 52 to 80 columns, less 2."""
-    import shutil
-
-    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """The help layout: "Usage: ", text paragraphs indented by two
-    columns, option help from column 34 at most."""
-
-    def __init__(self, prog: str) -> None:
-        super().__init__(prog, max_help_position=34, width=_help_width())
-
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
-
-    def _split_lines(self, text, width):
-        # a bracketed note such as "[default: T]" is never broken
-        lines = super()._split_lines(re.sub(r" (?=[^[]*\])", "\0", text), width)
-        return [line.replace("\0", " ") for line in lines]
-
-    def _fill_text(self, text, width, indent):
-        fill = super()._fill_text
-        return "\n\n".join(fill(paragraph, width, indent + "  ")
-                           for paragraph in re.split(r"\n\s*\n", text))
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        raise UsageError(message)
+        """argparse's usage error, written through ``_emit``, so that a
+        non-ASCII path goes out as UTF-8 on an ASCII stderr."""
+        _emit(sys.stderr, [self.format_usage(), f"{self.prog}: error: {message}\n"])
+        raise SystemExit(2)
 
 
-def _parser(prog: str, name: str) -> _Parser:
-    """The parser of one command's options."""
-    function, usage, options = _COMMANDS[name]
-    parser = _Parser(prog=f"{prog} {name}", usage=f"%(prog)s {usage}",
-                     description=function.__doc__, formatter_class=_HelpFormatter,
-                     add_help=False, allow_abbrev=False)
-    group = parser.add_argument_group("Options")
-    for flags, settings in options:
-        group.add_argument(*flags, **settings)
-    group.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
-
-
-def _group_help(prog: str) -> str:
-    import textwrap
-
-    pad = max(map(len, _COMMANDS))
-    commands = [textwrap.fill(_COMMANDS[name][0].__doc__.split("\n")[0], _help_width(),
-                              initial_indent=f"  {name:<{pad}}  ",
-                              subsequent_indent=" " * (pad + 4))
-                for name in sorted(_COMMANDS)]
-    return "\n".join([_GROUP_USAGE.format(prog), f"  {_DESCRIPTION}", "", "Options:",
-                      "  --help  Show this message and exit.", "", "Commands:", *commands, ""])
-
-
-def _usage_error(usage: str, prog: str, message: str) -> int:
-    _emit(sys.stderr, [f"{usage}Try '{prog} --help' for help.\n\nError: {message}\n"])
-    return 2
-
-
-def _values_joined(argv: list[str], options: tuple) -> list[str]:
-    """argv with each option that takes a value joined by "=" to the next
-    token when that token starts with "-" but is none of the command's
-    flags: argparse reads ``--input -x.csv`` as a missing value, and
-    ``--input=-x.csv`` as the file."""
-    flags = {"--help", "--", *(flag for names, _ in options for flag in names)}
-    valued = {names[0] for names, settings in options
-              if names[0].startswith("-") and "action" not in settings}
-    joined, i = [], 0
-    while i < len(argv):
-        token = argv[i]
-        if (token in valued and i + 1 < len(argv) and argv[i + 1].startswith("-")
-                and argv[i + 1] not in flags):
-            i += 1
-            token = f"{token}={argv[i]}"
-        joined.append(token)
-        i += 1
-    return joined
+def _parser(prog: str, name: str | None) -> _Parser:
+    """The parser of command name with its options, or of the group when
+    name is no command.  Only that command gets its options: adding every
+    command's costs about a millisecond more per call."""
+    group = _Parser(prog=prog, description=_DESCRIPTION, allow_abbrev=False)
+    commands = group.add_subparsers(metavar="COMMAND", required=True)
+    for command, (function, options) in _COMMANDS.items():
+        parser = commands.add_parser(command, help=function.__doc__.split("\n")[0],
+                                     description=function.__doc__, allow_abbrev=False)
+        if command == name:
+            for flags, settings in options:
+                parser.add_argument(*flags, **settings)
+            return parser
+    return group
 
 
 def _run(argv: list[str], prog: str) -> int:
     """Run one command line; its exit code."""
-    if not argv or argv[0] == "--help":
-        # with no command, the help is a usage error
-        _emit(sys.stdout if argv else sys.stderr, [_group_help(prog)])
-        return 0 if argv else 2
-    name = argv[0]
-    if name not in _COMMANDS:
-        kind = "option" if name.startswith("-") else "command"
-        return _usage_error(_GROUP_USAGE.format(prog), prog, f"No such {kind} '{name}'.")
+    name = argv[0] if argv else None
     parser = _parser(prog, name)
     try:
         try:
-            options = parser.parse_intermixed_args(_values_joined(argv[1:], _COMMANDS[name][2]))
-        except SystemExit as done:  # --help, printed
-            return done.code
-        return _COMMANDS[name][0](**vars(options)) or 0
-    except UsageError as err:
-        return _usage_error(parser.format_usage(), parser.prog, str(err))
+            if name not in _COMMANDS:
+                parser.parse_args(argv)  # the group help, or a usage error: either exits
+            # the command's own parser, since parse_intermixed_args, which takes
+            # correlate's COLUMNS between options, rejects one with subparsers
+            options = parser.parse_intermixed_args(argv[1:])
+            return _COMMANDS[name][0](**vars(options)) or 0
+        except UsageError as err:  # a missing file or an unknown column
+            parser.error(str(err))
+    except SystemExit as done:  # the help, or a usage error, printed
+        return done.code
     except CitetraceError as err:
         _emit(sys.stderr, [f"error: {err}\n"])
         return 1
@@ -587,7 +500,7 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None,
          standalone_mode: bool = True) -> int:
     """Run a command line, ``sys.argv[1:]`` by default, and exit with its
     code.  Without ``standalone_mode``, return 0 on success and raise
-    ``SystemExit`` with any other code, as click's ``main`` does."""
+    ``SystemExit`` with any other code."""
     try:
         code = _run(sys.argv[1:] if args is None else list(args), prog_name or "citetrace")
         sys.stdout.flush()

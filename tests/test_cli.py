@@ -21,6 +21,7 @@ from citetrace import (
     plausibility_warnings,
     score_table,
 )
+from citetrace import cli
 from citetrace.cli import main
 from citetrace.reference import reference_corpus
 
@@ -40,8 +41,8 @@ SNAPSHOTS = json.loads((DATA / "snapshots.json").read_text())
 # precision): any change to a float's evaluation order shows up here.
 CSV_SNAPSHOTS = sorted(name for name, args in SNAPSHOTS.items()
                        if args[0] in ("compute", "rank") and "csv" in args)
-# The --help of the group and of every command, and two usage errors, as the
-# installed script prints them on an 80-column terminal: file -> argv.
+# Three usage errors as the installed script prints them on an 80-column
+# terminal: file -> argv.
 USAGE_SNAPSHOTS = json.loads((DATA / "usage_snapshots.json").read_text())
 
 # The installed console script runs exactly this.
@@ -167,31 +168,75 @@ def test_json_and_table_output_match_snapshot(runner, monkeypatch, snapshot):
 
 
 @pytest.mark.parametrize("snapshot", sorted(USAGE_SNAPSHOTS))
-def test_help_and_usage_errors_match_snapshot(snapshot):
-    """Help goes to stdout with exit 0; a usage error to stderr with exit 2."""
-    args = USAGE_SNAPSHOTS[snapshot]
+def test_usage_errors_match_snapshot(snapshot):
+    """A usage error goes to stderr only, with exit 2."""
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *USAGE_SNAPSHOTS[snapshot]],
+                          capture_output=True, timeout=60, cwd=DATA.parent.parent,
+                          env={**os.environ, "COLUMNS": "80"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", (DATA / snapshot).read_bytes())
+
+
+def _help_texts(name):
+    """What the --help of a command, or of the group when name is None,
+    must hold: the command's help line, and every flag, metavar and help
+    text it defines (a choice option shows its choices); or every command
+    with its help line."""
+    if name is None:
+        return [cli._DESCRIPTION, *(f"{command}{function.__doc__.splitlines()[0]}"
+                                    for command, (function, _) in cli._COMMANDS.items())]
+    function, options = cli._COMMANDS[name]
+    texts = [function.__doc__.splitlines()[0]]
+    for flags, settings in options:
+        texts += [flag for flag in flags if flag.startswith("-")]
+        texts.append(settings["help"])
+        if "metavar" in settings:
+            texts.append(settings["metavar"])
+        elif "choices" in settings:
+            texts.append("{" + ",".join(settings["choices"]) + "}")
+    return texts
+
+
+@pytest.mark.parametrize("args", [["--help"], *([name, "--help"] for name in cli._COMMANDS),
+                                  ["compute", "-h"]], ids=" ".join)
+def test_help_holds_every_command_and_option(args):
+    """Help goes to stdout with exit 0.  argparse lays it out, and the
+    layout differs between Python versions, so only the words are checked."""
     proc = subprocess.run([sys.executable, "-c", ENTRY, *args], capture_output=True, timeout=60,
-                          cwd=DATA.parent.parent, env={**os.environ, "COLUMNS": "80"})
-    frozen = (DATA / snapshot).read_bytes()
-    if "--help" in args:
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, frozen, b"")
-    else:
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", frozen)
+                          env={**os.environ, "COLUMNS": "80"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    words = "".join(proc.stdout.decode().split())
+    for text in _help_texts(args[0] if args[0] in cli._COMMANDS else None):
+        assert "".join(text.split()) in words
 
 
-@pytest.mark.parametrize("env", [{"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"},
-                                 {"PYTHONIOENCODING": "ascii"}], ids=["C.UTF-8", "C", "ascii"])
+ENCODINGS = pytest.mark.parametrize(
+    "env", [{"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "ascii"}],
+    ids=["C.UTF-8", "C", "ascii"])
+
+
+def _run_in_locale(args, env):
+    inherited = {k: v for k, v in os.environ.items()
+                 if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    return subprocess.run([sys.executable, "-c", ENTRY, *args], capture_output=True, timeout=60,
+                          cwd=DATA.parent.parent, env={**inherited, **env})
+
+
+@ENCODINGS
 def test_non_ascii_names_are_written_as_utf8(env):
     """Whatever the locale or the streams' encoding, a name goes out as
     UTF-8: in the report and in the warnings."""
-    inherited = {k: v for k, v in os.environ.items()
-                 if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))}
-    proc = subprocess.run([sys.executable, "-c", ENTRY, *SNAPSHOTS["compute_cafe.csv"]],
-                          capture_output=True, timeout=60, cwd=DATA.parent.parent,
-                          env={**inherited, **env})
+    proc = _run_in_locale(SNAPSHOTS["compute_cafe.csv"], env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (DATA / "compute_cafe.csv").read_bytes()
     assert proc.stderr.startswith("warning: Zoë: ".encode()) and proc.stderr.count(b"\n") == 1
+
+
+@ENCODINGS
+def test_non_ascii_path_in_a_usage_error_is_written_as_utf8(env):
+    proc = _run_in_locale(["compute", "--input", "tests/data/missing_Zoë.csv"], env)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.endswith(
+        "citetrace compute: error: input file not found: tests/data/missing_Zoë.csv\n".encode())
 
 
 class TestRank:
@@ -295,6 +340,12 @@ class TestCorrelate:
                                       "--metric-file", str(metrics), "T", "IF"])
         assert result.exit_code == 1
         assert "no entity names in common" in result.stderr
+
+    def test_columns_may_come_between_options(self, runner):
+        between = invoke(runner, ["correlate", "T", "--input", "corpus", "--output", "csv", "h"])
+        trailing = invoke(runner, ["correlate", "--input", "corpus", "--output", "csv", "T", "h"])
+        assert between.exit_code == 0 and between.stdout
+        assert between.stdout_bytes == trailing.stdout_bytes
 
     def test_unknown_column_is_usage_error(self, runner, tmp_path):
         data = tmp_path / "trio.csv"
@@ -609,36 +660,60 @@ class TestLongCountsInWarnings:
 
 
 class TestOptionValueStartingWithDash:
-    """An option takes the next token as its value when that token starts
-    with "-" but is none of the command's flags, as ``--opt=value`` does."""
+    """A value that starts with "-" is written ``--opt=value``: argparse
+    reads ``--opt -value`` as an option with no value."""
 
-    @pytest.mark.parametrize("spaced, joined", [
+    CASES = pytest.mark.parametrize("spaced, joined, plain, missing", [
         (["compute", "--input", "-x.csv", "--output", "csv"],
-         ["compute", "--input=-x.csv", "--output", "csv"]),
+         ["compute", "--input=-x.csv", "--output", "csv"],
+         ["compute", "--input", "x.csv", "--output", "csv"], "--input"),
         (["correlate", "--metric-file", "-m.csv", "--input", "corpus"],
-         ["correlate", "--metric-file=-m.csv", "--input", "corpus"]),
+         ["correlate", "--metric-file=-m.csv", "--input", "corpus"],
+         ["correlate", "--metric-file", "m.csv", "--input", "corpus"], "--metric-file"),
         (["plot-data", "--input", "-x.csv", "--metric-file", "-m.csv"],
-         ["plot-data", "--input=-x.csv", "--metric-file=-m.csv"]),
+         ["plot-data", "--input=-x.csv", "--metric-file=-m.csv"],
+         ["plot-data", "--input", "x.csv", "--metric-file", "m.csv"], "--input"),
     ], ids=["input", "metric-file", "both"])
-    def test_same_as_the_joined_form(self, runner, tmp_path, monkeypatch, spaced, joined):
-        (tmp_path / "-x.csv").write_text("name,P,h,Pz,C,Ch\nNature,2,1,0,3,2\nScience,4,2,1,9,7\n")
-        (tmp_path / "-m.csv").write_text("name,IF\nNature,1.0\nScience,2.0\n")
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        for name in ("-x.csv", "x.csv"):
+            (tmp_path / name).write_text("name,P,h,Pz,C,Ch\nNature,2,1,0,3,2\nScience,4,2,1,9,7\n")
+        for name in ("-m.csv", "m.csv"):
+            (tmp_path / name).write_text("name,IF\nNature,1.0\nScience,2.0\n")
         monkeypatch.chdir(tmp_path)
-        result = invoke(runner, spaced)
+
+    @CASES
+    def test_spaced_form_is_a_usage_error(self, runner, spaced, joined, plain, missing):
+        result = runner.invoke(main, spaced)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith(
+            f"citetrace {spaced[0]}: error: argument {missing}: expected one argument\n")
+
+    @CASES
+    def test_joined_form_reads_the_file(self, runner, spaced, joined, plain, missing):
+        result = invoke(runner, joined)
         assert result.exit_code == 0, result.stderr
         assert result.stdout
-        expected = invoke(runner, joined)
+        expected = invoke(runner, plain)
         assert (result.stdout, result.stderr) == (expected.stdout, expected.stderr)
 
+    # a bad value of an option: the last stderr line starts with each message
     @pytest.mark.parametrize("args, message", [
-        (["--input", "--output", "csv"], "Error: argument --input: expected one argument\n"),
-        (["--input", "-missing.csv"], "Error: input file not found: -missing.csv\n"),
-    ], ids=["flag", "missing-file"])
+        (["--input", "--output", "csv"], "error: argument --input: expected one argument"),
+        (["--input=-missing.csv"], "error: input file not found: -missing.csv"),
+        (["--input", "corpus", "--precision", "0"],
+         "error: argument --precision: invalid choice: 0"),
+        (["--input", "corpus", "--precision", "x"],
+         "error: argument --precision: invalid int value: 'x'"),
+        (["--input", "corpus", "--format", "bogus"],
+         "error: argument --format: invalid choice: 'bogus'"),
+    ], ids=["flag", "missing-file", "precision-zero", "precision-text", "format"])
     def test_usage_errors(self, runner, args, message):
         result = runner.invoke(main, ["compute", *args])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr.endswith(message)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("usage: citetrace compute ")
+        assert result.stderr.splitlines()[-1].startswith(f"citetrace compute: {message}")
 
 
 class TestUnreadableFile:
@@ -661,7 +736,8 @@ class TestUnreadableFile:
         result = runner.invoke(main, args[option])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert f"Error: {what} not readable: {path} (Permission denied)" in result.stderr
+        assert result.stderr.endswith(f"citetrace {args[option][0]}: error: {what} not readable: "
+                                      f"{path} (Permission denied)\n")
         assert "Traceback" not in result.stderr
 
 
