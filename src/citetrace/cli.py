@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import csv
-import io
 import math
 import os
-import re
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .datasets import (MetricTable, citation_columns, parse_json, parse_metric_csv,
-                       summary_columns)
+from .datasets import (MetricTable, _csv_cells, citation_columns, parse_json,
+                       parse_metric_csv, summary_columns)
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
 from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table
 from .partition import _FIXED_WIDTH, column_chunks, column_warnings
@@ -64,14 +61,13 @@ def _emit(stream: TextIO, chunks: Iterable[str]) -> None:
 
 
 def _read(path_str: str, what: str) -> bytes:
-    """The bytes of a file named on the command line; a missing or unreadable
-    file is a usage error."""
-    path = Path(path_str)
+    """The bytes of a file named on the command line, a pipe or a device such
+    as /dev/stdin included; a missing or unreadable file is a usage error."""
     try:
-        if not path.is_file():
-            raise UsageError(f"{what} not found: {path_str}")
-        return path.read_bytes()
-    except OSError as err:  # is_file raises on some errors too, such as a too-long name
+        return Path(path_str).read_bytes()
+    except (FileNotFoundError, NotADirectoryError):  # no such file, or a file on its path
+        raise UsageError(f"{what} not found: {path_str}") from None
+    except OSError as err:  # a directory, a denied permission, a too-long name
         raise UsageError(f"{what} not readable: {path_str} ({err.strerror or err})") from None
 
 
@@ -212,28 +208,8 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
         yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
-_CSV_QUOTABLE = re.compile('[,"\r\n\x00]')  # a cell with one of these goes through csv.writer
-
-
-def _csv_strings(column: Sequence[str]) -> list[str]:
-    """The cells of a column of strings as csv.writer writes them."""
-    if not _CSV_QUOTABLE.search("".join(column)):
-        return list(column)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    cells = []
-    for cell in column:
-        if _CSV_QUOTABLE.search(cell):
-            out.seek(0)
-            out.truncate()
-            writer.writerow([cell])
-            cell = out.getvalue()[:-1]
-        cells.append(cell)
-    return cells
-
-
 _CSV_ENCODERS = {
-    str: _csv_strings,
+    str: _csv_cells,
     int: lambda column: list(map(int.__repr__, column)),
     float: lambda column: list(map(float.__repr__, column)),
     type(None): lambda column: [""] * len(column),
@@ -241,14 +217,13 @@ _CSV_ENCODERS = {
 
 
 def _write_csv(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
-    """The bytes of ``csv.writer(..., lineterminator="\\n").writerows``, in
-    chunks: each column's cells are encoded once, then joined row by row."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(headers)
-    yield out.getvalue()
-    for columns in blocks:
+    """The report as CSV, in chunks, led by its header row: each column's
+    cells are encoded once, then joined row by row.  Strings are quoted by
+    the rule of ``datasets._csv_cells``, so the bytes are those of Python
+    3.13's ``csv.writer(..., lineterminator="\\n")`` on every version."""
+    for columns in chain([[[header] for header in headers]], blocks):
         cells = [_CSV_ENCODERS[type(column[0])](column) for column in columns]
-        if len(cells) == 1:  # csv.writer quotes a row's only field when it is empty
+        if len(cells) == 1:  # a row's only field, when empty, is quoted: a blank line is no row
             cells[0] = [cell or '""' for cell in cells[0]]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
@@ -460,18 +435,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser(prog: str, name: str | None) -> _Parser:
-    """The parser of command name with its options, or of the group when
-    name is no command.  Only that command gets its options: adding every
-    command's costs about a millisecond more per call."""
+    """The parser of command name with only its options; or, when name is no
+    command, the group's, with one subparser per command, for the group help
+    and its usage errors.  A command line builds no parser it does not use:
+    adding every command's options costs about a millisecond per call."""
+    if name in _COMMANDS:
+        function, options = _COMMANDS[name]
+        parser = _Parser(prog=f"{prog} {name}", description=function.__doc__,
+                         allow_abbrev=False)
+        for flags, settings in options:
+            parser.add_argument(*flags, **settings)
+        return parser
     group = _Parser(prog=prog, description=_DESCRIPTION, allow_abbrev=False)
     commands = group.add_subparsers(metavar="COMMAND", required=True)
-    for command, (function, options) in _COMMANDS.items():
-        parser = commands.add_parser(command, help=function.__doc__.split("\n")[0],
-                                     description=function.__doc__, allow_abbrev=False)
-        if command == name:
-            for flags, settings in options:
-                parser.add_argument(*flags, **settings)
-            return parser
+    for command, (function, _) in _COMMANDS.items():
+        commands.add_parser(command, help=function.__doc__.split("\n")[0],
+                            description=function.__doc__, allow_abbrev=False)
     return group
 
 

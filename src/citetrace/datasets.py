@@ -372,6 +372,11 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
         name = item["name"]
         if not isinstance(name, str):
             raise ParseError(f"{where}: name must be a string")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # only a JSON escape writes a lone surrogate
+            raise ParseError(f"{where}: name holds a lone surrogate, "
+                             "which UTF-8 cannot encode") from None
         name = name.strip()
         if name in seen:
             raise DuplicateEntity(f"{where}: duplicate entity {name!r}")
@@ -442,15 +447,30 @@ def parse_metric_csv(data: Union[bytes, str]) -> MetricTable:
     return MetricTable(metrics=metrics, rows=rows)
 
 
+_CSV_QUOTED = re.compile('[,"\r\n]')  # a CSV cell with one of these is written in quotes
+
+
+def _csv_cells(column: Sequence[str]) -> list[str]:
+    """A column of strings as CSV cells: a cell that holds a comma, a quote,
+    CR or LF in quotes, with its quotes doubled; any other as it is.  This
+    is the rule of Python 3.13's ``csv.writer``, whose older versions leave
+    a bare CR unquoted, so that the row does not read back, and on 3.10
+    reject NUL."""
+    if not _CSV_QUOTED.search("".join(column)):
+        return list(column)
+    quoted = _CSV_QUOTED.search
+    return ['"' + cell.replace('"', '""') + '"' if quoted(cell) else cell for cell in column]
+
+
 def dataset_to_csv(dataset: DatasetFile) -> str:
-    """Serialize to the summary CSV; re-parsing yields equal records."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER)
-    for rec in dataset.records:
-        writer.writerow([rec.name, rec.papers, rec.h, rec.uncited,
-                         rec.citations, rec.core_citations])
-    return out.getvalue()
+    """Serialize to the summary CSV, each name quoted by the rule of
+    ``_csv_cells``; re-parsing yields equal records."""
+    records = dataset.records
+    names = _csv_cells([rec.name for rec in records])
+    lines = [",".join(SUMMARY_HEADER)]
+    lines += [f"{name},{rec.papers},{rec.h},{rec.uncited},{rec.citations},{rec.core_citations}"
+              for name, rec in zip(names, records)]
+    return "\n".join(lines) + "\n"
 
 
 def dataset_to_json(dataset: DatasetFile) -> str:

@@ -9,6 +9,7 @@ check the library against them rather than against itself.
 
 import csv
 import io
+import itertools
 import json
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -178,12 +179,20 @@ def write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int) 
 
 
 def write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([cell(v, None) for v in row])
-    return out.getvalue()
+    """The rows as ``csv.writer`` writes them, one row at a time, with "\\n"
+    line ends, the same on every Python version.  Each row is written with
+    the line end "\\r\\n", under which every version quotes a cell holding
+    CR or LF (under "\\n", 3.10 to 3.12 leave a bare CR unquoted).  NUL,
+    which needs no quotes and which 3.10's writer rejects, is written as a
+    stand-in character that the row does not hold, then put back."""
+    lines = []
+    for row in [headers, *([cell(v, None) for v in row] for row in rows)]:
+        text = "".join(row)
+        stand_in = next(c for c in map(chr, itertools.count(0xE000)) if c not in text)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow([c.replace("\0", stand_in) for c in row])
+        lines.append(out.getvalue()[:-2].replace(stand_in, "\0") + "\n")
+    return "".join(lines)
 
 
 def write_json(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

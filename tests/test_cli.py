@@ -133,7 +133,7 @@ def _matches_snapshot(runner, monkeypatch, snapshot):
 
 def test_manifest_names_every_snapshot():
     inputs = {"ansi_names.csv", "big.csv", "cafe.csv", "citations_edge.csv",
-              "citations_small.csv", "metrics_small.csv", "metrics_wide.csv",
+              "citations_small.csv", "cr_names.csv", "metrics_small.csv", "metrics_wide.csv",
               "summary_small.csv", "snapshots.json", "usage_snapshots.json"}
     assert {path.name for path in DATA.iterdir()} - inputs == set(SNAPSHOTS) | set(USAGE_SNAPSHOTS)
 
@@ -741,6 +741,28 @@ class TestUnreadableFile:
         assert "Traceback" not in result.stderr
 
 
+class TestInputThatIsNoRegularFile:
+    def test_piped_stdin_reads_as_the_file(self):
+        path = DATA / "summary_small.csv"
+        args = ["compute", "--output", "csv", "--input"]
+        piped = subprocess.run([sys.executable, "-m", "citetrace.cli", *args, "/dev/stdin"],
+                               input=path.read_bytes(), capture_output=True, timeout=30)
+        expected = _run_cli([*args, str(path)])
+        assert expected.returncode == 0 and expected.stdout
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            0, expected.stdout, expected.stderr)
+
+    @pytest.mark.parametrize("args, what", [
+        (["compute", "--input"], "input file"),
+        (["plot-data", "--input", "corpus", "--metric-file"], "metric file"),
+    ], ids=["input", "metric-file"])
+    def test_directory_is_not_readable(self, tmp_path, args, what):
+        proc = _run_cli([*args, str(tmp_path)])
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.endswith(f"citetrace {args[0]}: error: {what} not readable: "
+                                    f"{tmp_path} (Is a directory)\n".encode())
+
+
 class TestMetricNamedAfterIndicator:
     @pytest.mark.parametrize("command", [["correlate"], ["plot-data"]],
                              ids=["correlate", "plot-data"])
@@ -887,6 +909,17 @@ class TestJsonNames:
         result = invoke(runner, ["plot-data", "--input", str(data), "--metric-file", str(metrics)])
         assert result.stderr == ""
         assert [line.split(",")[0] for line in result.stdout.splitlines()] == ["name", "A", "B"]
+
+
+    @pytest.mark.parametrize("output", ["csv", "table"])
+    def test_lone_surrogate_in_a_name_is_a_one_line_error(self, tmp_path, output):
+        """Only a JSON escape can put one in a name, and no stream can write it."""
+        path = tmp_path / "data.json"
+        path.write_text('[{"name": "A\\ud800", "citations": [3, 2, 1]}]')
+        proc = _run_cli(["compute", "--input", str(path), "--output", output])
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == (b"error: item 0: name holds a lone surrogate, "
+                               b"which UTF-8 cannot encode\n")
 
 
 class TestTableOutput:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from citetrace import (
     CitetraceError,
+    DatasetFile,
     DuplicateEntity,
     ParseError,
     SummaryRecord,
@@ -409,6 +410,13 @@ class TestParseJson:
         with pytest.raises(ParseError, match="array"):
             parse_json(json.dumps({"name": "A"}))
 
+    def test_lone_surrogate_in_a_name_rejected(self):
+        # only a JSON escape can give one; UTF-8 cannot encode it, so no stream could write it
+        payload = '[{"name": "A", "citations": [1]}, {"name": "A\\ud800", "citations": [3, 2, 1]}]'
+        with pytest.raises(ParseError, match="^item 1: name holds a lone surrogate"):
+            parse_json(payload)
+        assert parse_json('[{"name": "A\\ud83d\\ude00", "citations": [1]}]').records[0].name == "A😀"
+
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_json("{nope")
@@ -469,9 +477,19 @@ class TestRoundTrips:
             assert parse_json(dataset_to_json(ds)).records == ds.records
 
     def test_quoted_names_survive(self):
-        data = 'name,P,h,Pz,C,Ch\n"Libr, J",10,2,3,9,5\n'
-        ds = parse_summary_csv(data)
-        assert parse_summary_csv(dataset_to_csv(ds)).records == ds.records
+        for name in ('"Libr, J"', '"A\rB"'):
+            ds = parse_summary_csv(f"name,P,h,Pz,C,Ch\n{name},10,2,3,9,5\n")
+            assert parse_summary_csv(dataset_to_csv(ds)).records == ds.records
+
+    @pytest.mark.parametrize("name, cell", [
+        ("Libr, J", '"Libr, J"'), ("A\rB", '"A\rB"'), ("A\r\nB", '"A\r\nB"'),
+        ('say "A"', '"say ""A"""'), ("A\x00B", "A\x00B"), (" A\tB ", " A\tB "),
+    ], ids=["comma", "bare-cr", "crlf", "quotes", "nul", "blanks"])
+    def test_names_are_quoted_alike_on_every_python(self, name, cell):
+        """A name is quoted when it holds a comma, a quote, CR or LF, and is
+        written as it is otherwise, whatever the Python version."""
+        ds = DatasetFile("summary-csv", (SummaryRecord(name, 10, 2, 3, 9, 5),))
+        assert dataset_to_csv(ds) == f"name,P,h,Pz,C,Ch\n{cell},10,2,3,9,5\n"
 
 
 class TestOneRecordType:

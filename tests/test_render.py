@@ -3,6 +3,8 @@
 the number of rows per written block."""
 
 import collections
+import csv
+import io
 import json
 import math
 import random
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citetrace import SummaryRecord, rank_entities, score, score_table
+from citetrace import (DatasetFile, SummaryRecord, dataset_to_csv, rank_entities, score,
+                       score_table)
 from citetrace import cli
 from citetrace.cli import _format_sig, _write_csv, _write_json, _write_table, main
 
@@ -68,6 +71,32 @@ def test_empty_reports():
         assert render(_write_json, headers, []) == write_json(headers, []) == "[]\n"
         assert render(_write_table, headers, [], 4) == write_table(headers, [], 4)
         assert render(_write_csv, headers, []) == write_csv(headers, [])
+
+
+# the texts the CSV quoting rule looks at; NUL too from Python 3.11, as
+# csv.reader rejects it before
+CSV_TEXTS = [",", '"', "\r", "\n", "\r\n", "é", "a"] + ["\x00"] * (sys.version_info >= (3, 11))
+csv_texts = st.lists(st.sampled_from(CSV_TEXTS), max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=csv_texts, texts=st.lists(csv_texts, min_size=1, max_size=6),
+       block_rows=st.sampled_from([1, 2, 1024]))
+def test_csv_reads_back(header, texts, block_rows):
+    """csv.reader reads back every cell that the CSV writers write: a
+    report of one column and one of two, and a summary CSV."""
+    def read(text):
+        return list(csv.reader(io.StringIO(text, newline="")))
+
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        assert read(render(_write_csv, [header], [(t,) for t in texts])) == [
+            [header], *([t] for t in texts)]
+        assert read(render(_write_csv, [header, "n"], [(t, i) for i, t in enumerate(texts)])) == [
+            [header, "n"], *([t, str(i)] for i, t in enumerate(texts))]
+    names = [t for t in texts if t]  # a record's name is never empty
+    records = tuple(SummaryRecord(name, 1, 0, 0, 0, 0) for name in names)
+    assert read(dataset_to_csv(DatasetFile("summary-csv", records))) == [
+        ["name", "P", "h", "Pz", "C", "Ch"], *([name, "1", "0", "0", "0", "0"] for name in names)]
 
 
 def _entity(i: int) -> SummaryRecord:
