@@ -910,7 +910,6 @@ class TestJsonNames:
         assert result.stderr == ""
         assert [line.split(",")[0] for line in result.stdout.splitlines()] == ["name", "A", "B"]
 
-
     @pytest.mark.parametrize("output", ["csv", "table"])
     def test_lone_surrogate_in_a_name_is_a_one_line_error(self, tmp_path, output):
         """Only a JSON escape can put one in a name, and no stream can write it."""
