@@ -5,8 +5,10 @@ byte-identical bytes (no timestamps, '.' as the decimal point).  Human
 tables round to a configurable number of significant figures; csv and
 json output never rounds.  Exit codes: 0 success, 1 validation or
 comparison failure, 2 usage error.  Names and other text are written
-byte for byte as given, escape sequences included; a stream whose
-encoding is ASCII gets UTF-8.
+byte for byte as given, escape sequences included; only a table cell and
+a ``warning:``, ``error:`` or usage-error line write each character at
+which ``str.splitlines`` splits as its Python escape, such as ``\\n``.  A
+stream whose encoding is ASCII gets UTF-8.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import argparse
 import codecs
 import math
 import os
+import re
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .datasets import (MetricTable, _csv_cells, citation_columns, parse_json,
+from . import partition
+from .datasets import (MetricTable, _write_csv, _write_json, citation_columns, parse_json,
                        parse_metric_csv, summary_columns)
 from .errors import CitetraceError, JoinError, ParseError, ValidationError
 from .indicators import INDICATOR_KEYS, ScoreTable, add_rows, empty_table
@@ -122,7 +126,7 @@ def _scored(input_: str, format_: str | None, group: str | None,
                 add_rows(table, *columns)
             except ValidationError as err:
                 overflow = err
-    _warn(warnings)
+    _say([f"warning: {name}: {warning}" for name, warning in warnings])
     if overflow is not None:
         raise overflow
     if not table.name:
@@ -130,8 +134,23 @@ def _scored(input_: str, format_: str | None, group: str | None,
     return table
 
 
-def _warn(warnings: Iterable[tuple[str, str]]) -> None:
-    _emit(sys.stderr, (f"warning: {name}: {warning}\n" for name, warning in warnings))
+# The characters at which str.splitlines splits
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_BREAKS}]")
+_ESCAPES = {ord(c): repr(c)[1:-1] for c in _BREAKS}
+
+
+def _one_line(column: Sequence[str]) -> list[str]:
+    """A column of strings with each line break written as its Python escape;
+    as it is if one search of the joined column finds none."""
+    if not _LINE_BREAK.search("".join(column)):
+        return list(column)
+    return [text.translate(_ESCAPES) for text in column]
+
+
+def _say(lines: Sequence[str]) -> None:
+    """Write messages to stderr, each on one line."""
+    _emit(sys.stderr, (line + "\n" for line in _one_line(lines)))
 
 
 def _format_sig(value: float, figures: int) -> str:
@@ -155,18 +174,16 @@ def _format_sig(value: float, figures: int) -> str:
     return "%.*e" % (figures - 1, value)
 
 
-_BLOCK_ROWS = 1024  # report rows encoded and written per chunk
-
-
 def _blocks(columns: Sequence[Sequence], rows: Sequence[int] | None = None,
             ranked: bool = False) -> Iterator[list[Sequence]]:
-    """The columns in slices of ``_BLOCK_ROWS`` rows: of the rows at positions
-    ``rows``, in that order, if given, else of every row; led by the 1-based
-    report positions when ``ranked``.  Every report column holds values of
-    one type, so a writer picks each column's encoder from its first value."""
+    """The columns in slices of ``partition._CHUNK_ROWS`` rows: of the rows at
+    positions ``rows``, in that order, if given, else of every row; led by
+    the 1-based report positions when ``ranked``.  Every report column holds
+    values of one type, so a writer picks each column's encoder from its
+    first value."""
     count = len(columns[0]) if rows is None else len(rows)
-    for start in range(0, count, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, count)
+    for start in range(0, count, partition._CHUNK_ROWS):
+        stop = min(start + partition._CHUNK_ROWS, count)
         if rows is None:
             block = [column[start:stop] for column in columns]
         else:
@@ -181,81 +198,27 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
                  figures: int) -> Iterator[str]:
     """The table's text in chunks: every block's columns are formatted first,
     since the widths depend on every cell; then the lines are laid out a
-    block at a time.  Until its layout a block keeps a column that holds
-    strings as the list of the rows' own strings, and any other column as
-    its texts joined by newlines, which no number's or ``None``'s text holds."""
+    block at a time.  Until its layout a block keeps each column as its
+    texts joined by newlines, which no cell holds: a string's line breaks
+    are escaped, and no number's or ``None``'s text has one."""
     encoders = {
-        str: list,
+        str: _one_line,
         int: lambda column: list(map(str, column)),
         float: lambda column: list(map(_format_sig, column, repeat(figures))),
         type(None): lambda column: [""] * len(column),
     }
     widths = list(map(len, headers))
-    pending: list[list] = []
+    pending: list[list[str]] = []
     for columns in blocks:
-        stored = []
-        for i, column in enumerate(columns):
-            kind = type(column[0])
-            texts = encoders[kind](column)
-            widths[i] = max(widths[i], max(map(len, texts)))
-            stored.append(texts if kind is str else "\n".join(texts))
-        pending.append(stored)
+        texts = [encoders[type(column[0])](column) for column in columns]
+        widths = [max(width, *map(len, column)) for width, column in zip(widths, texts)]
+        pending.append(["\n".join(column) for column in texts])
     template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
     yield template.format(*headers).rstrip() + "\n"
     pending.reverse()
     while pending:  # each block's text is freed once its lines are written
-        columns = (c.split("\n") if isinstance(c, str) else c for c in pending.pop())
+        columns = (column.split("\n") for column in pending.pop())
         yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
-
-
-_CSV_ENCODERS = {
-    str: _csv_cells,
-    int: lambda column: list(map(int.__repr__, column)),
-    float: lambda column: list(map(float.__repr__, column)),
-    type(None): lambda column: [""] * len(column),
-}
-
-
-def _write_csv(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
-    """The report as CSV, in chunks, led by its header row: each column's
-    cells are encoded once, then joined row by row.  Strings are quoted by
-    the rule of ``datasets._csv_cells``, so the bytes are those of Python
-    3.13's ``csv.writer(..., lineterminator="\\n")`` on every version."""
-    for columns in chain([[[header] for header in headers]], blocks):
-        cells = [_CSV_ENCODERS[type(column[0])](column) for column in columns]
-        if len(cells) == 1:  # a row's only field, when empty, is quoted: a blank line is no row
-            cells[0] = [cell or '""' for cell in cells[0]]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(column: Sequence[float]) -> list[str]:
-    text = list(map(float.__repr__, column))
-    if math.isfinite(sum(column)):  # an infinity or a NaN makes the sum one
-        return text
-    return list(map(_JSON_NONFINITE.get, text, text))
-
-
-def _write_json(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
-    """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``, in chunks."""
-    from json.encoder import encode_basestring_ascii  # here: only JSON output needs json
-
-    encoders = {
-        str: lambda column: list(map(encode_basestring_ascii, column)),
-        int: lambda column: list(map(int.__repr__, column)),
-        float: _json_floats,
-        type(None): lambda column: ["null"] * len(column),
-    }
-    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in headers)
-    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    separator = "[\n"
-    for columns in blocks:
-        cells = [encoders[type(column[0])](column) for column in columns]
-        yield separator + ",\n".join([template % row for row in zip(*cells)])
-        separator = ",\n"
-    yield "[]\n" if separator == "[\n" else "\n]\n"
 
 
 def _echo_report(output: str, headers: Sequence[str], blocks: Iterable[list[Sequence]],
@@ -264,10 +227,8 @@ def _echo_report(output: str, headers: Sequence[str], blocks: Iterable[list[Sequ
     already validated and scored, so an error never leaves partial output."""
     if output == "table":
         _emit(sys.stdout, _write_table(headers, blocks, figures))
-    elif output == "csv":
-        _emit(sys.stdout, _write_csv(headers, blocks))
     else:
-        _emit(sys.stdout, _write_json(headers, blocks))
+        _emit(sys.stdout, (_write_csv if output == "csv" else _write_json)(headers, blocks))
 
 
 # The report columns of a ScoreTable: every field, or under --mask-x3 every field but X3.
@@ -335,11 +296,11 @@ def _join_metrics(names: Sequence[str], metrics: MetricTable | None):
     if metrics is None:
         return range(len(names)), {}
     matched = [i for i, name in enumerate(names) if name in metrics.rows]
-    _emit(sys.stderr, (f"warning: no metric row for entity {name!r}\n"
-                       for name in names if name not in metrics.rows))
+    _say([f"warning: no metric row for entity {name!r}"
+          for name in names if name not in metrics.rows])
     matched_names = {names[i] for i in matched}
-    _emit(sys.stderr, (f"warning: metric row {name!r} matches no entity\n"
-                       for name in metrics.rows if name not in matched_names))
+    _say([f"warning: metric row {name!r} matches no entity"
+          for name in metrics.rows if name not in matched_names])
     if not matched:
         raise JoinError("no entity names in common between dataset and metric file")
     metric_columns = {
@@ -428,9 +389,10 @@ _DESCRIPTION = "h-index core/tail analytics: performance matrices and academic t
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        """argparse's usage error, written through ``_emit``, so that a
-        non-ASCII path goes out as UTF-8 on an ASCII stderr."""
-        _emit(sys.stderr, [self.format_usage(), f"{self.prog}: error: {message}\n"])
+        """argparse's usage error, written through ``_emit``, as UTF-8 on an
+        ASCII stderr, with the message on one line."""
+        _emit(sys.stderr, [self.format_usage()])
+        _say([f"{self.prog}: error: {message}"])
         raise SystemExit(2)
 
 
@@ -471,7 +433,7 @@ def _run(argv: list[str], prog: str) -> int:
     except SystemExit as done:  # the help, or a usage error, printed
         return done.code
     except CitetraceError as err:
-        _emit(sys.stderr, [f"error: {err}\n"])
+        _say([f"error: {err}"])
         return 1
 
 

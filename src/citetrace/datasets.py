@@ -1,24 +1,19 @@
-"""Parsing and serialization of entity datasets (summary CSV, citations CSV, JSON).
+"""Reading and writing entity datasets: summary CSV, citations CSV, JSON.
 
-The summary CSV carries one five-number record per row under the exact
-header ``name,P,h,Pz,C,Ch``.  The citations CSV carries per-document
-counts as a semicolon-separated cell under ``name,citations``; each list
-is summarized to its five numbers as it is read.  JSON mirrors either
-file format with the same field names.  The serializers write the
-summary form.  Parsed datasets are immutable; every record is validated
-before a dataset is accepted.
+A summary CSV has one record per row under the header ``name,P,h,Pz,C,Ch``;
+a citations CSV has a semicolon-separated cell of per-document counts
+under ``name,citations``, summarized as each row is read; JSON is an
+array of objects with either header's fields.  Every record is validated.
 
-The ``parse_*`` functions yield ``SummaryRecord``s.  ``summary_columns``
-and ``citation_columns`` read the two CSV formats without a record per
-row: as chunks of integer columns (names, P, h, Pz, C, Ch), each checked
-as a whole, which the scoring kernel takes as they are.  A citations
-chunk converts each distinct count text once.  ``parse_metric_csv`` reads
-its rows the same way, as chunks of float columns.  The three CSV
-readers share one chunk loop, ``_columns``: a chunk that fails its check
-is parsed row by row on its own, by the row loop that ``parse_summary_csv``
-and ``parse_citations_csv`` run over a whole file, so the errors are
-theirs.  The chunks are those of ``partition.chunks``, which every reader
-and the scoring kernel share.
+The ``parse_*`` readers share one row loop, ``_parse_csv``: blank rows,
+the column count, stripped unique names, and the row, or JSON item, that
+an error names.  ``_json_rows`` feeds it JSON items as rows once they pass
+JSON's own checks.  ``summary_columns``, ``citation_columns`` and
+``parse_metric_csv`` read chunks of columns with no item per row, each
+chunk checked as a whole by ``_columns``; one that fails goes through the
+row loop, so the errors are the same.  ``_write_csv`` and ``_write_json``
+write blocks of columns for the CLI's reports and for ``dataset_to_csv``
+and ``dataset_to_json``, which write the summary form.
 """
 
 from __future__ import annotations
@@ -27,12 +22,12 @@ import csv
 import io
 import math
 import re
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import (_CHUNK_ROWS, SummaryRecord, chunks, columns_valid, ranked_summary,
-                        record_columns, summarize)
+from .partition import (_CHUNK_ROWS, SummaryRecord, chunks, column_chunks, columns_valid,
+                        ranked_summary, record_columns, summarize)
 
 __all__ = [
     "DatasetFile",
@@ -112,25 +107,24 @@ def _body(data: Union[bytes, str], kind: str,
     return rows
 
 
-def _parse_csv(rows: Iterable[tuple[int, list[str]]], header: Sequence[str],
-               record: Callable[[str, list[str]], object], seen: set[str]) -> list:
-    """The row loop all three CSVs share: blank rows skipped, the column
-    count, and stripped names unique against seen, which gains each;
-    ``record(name, cells)`` builds each row's item, and its errors gain the
-    row number."""
+def _parse_csv(rows: Iterable[tuple[int, list]], header: Sequence[str],
+               record: Callable[[str, list], object], seen: set[str], label: str = "row") -> list:
+    """The row loop every reader shares: blank rows skipped, the column
+    count, stripped names unique against seen, which gains each, and each
+    item built by ``record(name, cells)``; an error names ``label`` and line."""
     records = []
     for line, row in rows:
         if not row:
             continue
         if len(row) != len(header):
-            raise ParseError(f"row {line}: expected {len(header)} columns, got {len(row)}")
+            raise ParseError(f"{label} {line}: expected {len(header)} columns, got {len(row)}")
         name = row[0].strip()
         if name in seen:
-            raise DuplicateEntity(f"row {line}: duplicate entity {name!r}")
+            raise DuplicateEntity(f"{label} {line}: duplicate entity {name!r}")
         try:
             records.append(record(name, row[1:]))
         except (ParseError, ValidationError) as err:
-            raise type(err)(f"row {line}: {err}") from None
+            raise type(err)(f"{label} {line}: {err}") from None
         seen.add(name)
     return records
 
@@ -320,16 +314,48 @@ def citation_columns(data: Union[bytes, str]) -> Iterator[tuple[list, ...]]:
                     _citations_row, _citations_checked, record_columns)
 
 
-def _json_counts(cell) -> list[int]:
-    if isinstance(cell, str):
-        return _parse_counts(cell)
-    if not isinstance(cell, list):
-        raise ParseError("citations must be a list of counts or a ';'-joined string")
-    if not cell:
-        raise ParseError("empty citation list")
-    if not set(map(type, cell)) <= {int}:
-        raise ParseError("citation counts must be integers")
-    return cell
+def _json_rows(payload: list, header: tuple[str, ...]) -> Iterator[tuple[int, list]]:
+    """Each JSON item and its index as the row [name, *values], in the order
+    of header, item 0's fields, once it is an object with exactly those
+    fields and a name that is a string UTF-8 can encode."""
+    fields, kinds = set(header), (set(SUMMARY_HEADER), set(CITATIONS_HEADER))
+    for index, item in enumerate(payload):
+        if not isinstance(item, dict):
+            raise ParseError(f"item {index}: expected an object")
+        if item.keys() != fields:
+            if item.keys() not in kinds:
+                raise ParseError(f"item {index}: fields must be exactly {SUMMARY_HEADER} "
+                                 f"or {CITATIONS_HEADER}")
+            raise ParseError(f"item {index}: mixed record types in one dataset")
+        name = item["name"]
+        if not isinstance(name, str):
+            raise ParseError(f"item {index}: name must be a string")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # only a JSON escape writes a lone surrogate
+            raise ParseError(f"item {index}: name holds a lone surrogate, "
+                             "which UTF-8 cannot encode") from None
+        yield index, list(map(item.__getitem__, header))
+
+
+def _json_row(name: str, cells: list) -> SummaryRecord:
+    """The record of a JSON item's values: citations as a list of integers
+    or the CSV's semicolon string, or the five summary integers."""
+    if len(cells) == 1:
+        counts = cells[0]
+        if isinstance(counts, str):
+            counts = _parse_counts(counts)
+        elif not isinstance(counts, list):
+            raise ParseError("citations must be a list of counts or a ';'-joined string")
+        elif not counts:
+            raise ParseError("empty citation list")
+        elif not set(map(type, counts)) <= {int}:
+            raise ParseError("citation counts must be integers")
+        return summarize(counts, name)
+    for field, value in zip(SUMMARY_HEADER[1:], cells):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"{field} must be an integer")
+    return SummaryRecord(name, *cells)
 
 
 def parse_json(data: Union[bytes, str], source: str | None = None,
@@ -339,7 +365,7 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
     Summary objects carry exactly the summary CSV fields; citation
     objects carry ``name`` and ``citations`` (a list of counts, or the
     CSV's semicolon string) and are summarized as they are read.  One
-    file holds one record type.
+    file holds one record type: that of its first item.
     """
     import json  # here, not at module level: only JSON input needs it
 
@@ -351,49 +377,9 @@ def parse_json(data: Union[bytes, str], source: str | None = None,
         raise ParseError(f"invalid JSON: {err}") from None
     if not isinstance(payload, list):
         raise ParseError("JSON dataset must be an array of objects")
-    records: list[SummaryRecord] = []
-    seen: set[str] = set()
-    kind: str | None = None
-    for index, item in enumerate(payload):
-        where = f"item {index}"
-        if not isinstance(item, dict):
-            raise ParseError(f"{where}: expected an object")
-        keys = set(item)
-        if keys == set(SUMMARY_HEADER):
-            item_kind = "summary"
-        elif keys == set(CITATIONS_HEADER):
-            item_kind = "citations"
-        else:
-            raise ParseError(f"{where}: fields must be exactly {SUMMARY_HEADER} or {CITATIONS_HEADER}")
-        if kind is None:
-            kind = item_kind
-        elif kind != item_kind:
-            raise ParseError(f"{where}: mixed record types in one dataset")
-        name = item["name"]
-        if not isinstance(name, str):
-            raise ParseError(f"{where}: name must be a string")
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:  # only a JSON escape writes a lone surrogate
-            raise ParseError(f"{where}: name holds a lone surrogate, "
-                             "which UTF-8 cannot encode") from None
-        name = name.strip()
-        if name in seen:
-            raise DuplicateEntity(f"{where}: duplicate entity {name!r}")
-        try:
-            if item_kind == "summary":
-                for field in SUMMARY_HEADER[1:]:
-                    value = item[field]
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ParseError(f"{field} must be an integer")
-                records.append(SummaryRecord(name=name, papers=item["P"], h=item["h"],
-                                             uncited=item["Pz"], citations=item["C"],
-                                             core_citations=item["Ch"]))
-            else:
-                records.append(summarize(_json_counts(item["citations"]), name))
-        except (ParseError, ValidationError) as err:
-            raise type(err)(f"{where}: {err}") from None
-        seen.add(name)
+    first = payload[0] if payload and isinstance(payload[0], dict) else {}
+    header = SUMMARY_HEADER if first.keys() == set(SUMMARY_HEADER) else CITATIONS_HEADER
+    records = _parse_csv(_json_rows(payload, header), header, _json_row, set(), "item")
     return DatasetFile(format="json", records=tuple(records), source=source, window=window)
 
 
@@ -462,21 +448,72 @@ def _csv_cells(column: Sequence[str]) -> list[str]:
     return ['"' + cell.replace('"', '""') + '"' if quoted(cell) else cell for cell in column]
 
 
+class _ByType(dict):
+    """Encoders by value type; a subclass, such as IntEnum, takes its base's."""
+
+    def __missing__(self, kind: type) -> Callable[[Sequence], list[str]]:
+        for base in kind.__mro__[1:]:
+            if base in self:
+                return self[base]
+        raise TypeError(f"cannot write a value of type {kind.__name__}")
+
+
+_CSV_ENCODERS = _ByType({
+    str: _csv_cells,
+    int: lambda column: list(map(int.__repr__, column)),
+    float: lambda column: list(map(float.__repr__, column)),
+    type(None): lambda column: [""] * len(column),
+})
+
+
+def _write_csv(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
+    """Blocks of columns as CSV, in chunks, led by the header row: each
+    column's cells are encoded once, then joined row by row.  Strings are
+    quoted by the rule of ``_csv_cells``, so the bytes are those of Python
+    3.13's ``csv.writer(..., lineterminator="\\n")`` on every version."""
+    for columns in chain([[[header] for header in headers]], blocks):
+        cells = [_CSV_ENCODERS[type(column[0])](column) for column in columns]
+        if len(cells) == 1:  # a row's only field, when empty, is quoted: a blank line is no row
+            cells[0] = [cell or '""' for cell in cells[0]]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(column: Sequence[float]) -> list[str]:
+    text = list(map(float.__repr__, column))
+    if math.isfinite(sum(column)):  # an infinity or a NaN makes the sum one
+        return text
+    return list(map(_JSON_NONFINITE.get, text, text))
+
+
+def _write_json(headers: Sequence[str], blocks: Iterable[list[Sequence]]) -> Iterator[str]:
+    """The bytes of ``json.dumps([dict(zip(headers, row)) ...], indent=2)``, in chunks."""
+    from json.encoder import encode_basestring_ascii  # here: only JSON output needs json
+
+    encoders = _ByType({
+        str: lambda column: list(map(encode_basestring_ascii, column)),
+        int: lambda column: list(map(int.__repr__, column)),
+        float: _json_floats,
+        type(None): lambda column: ["null"] * len(column),
+    })
+    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in headers)
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    separator = "[\n"
+    for columns in blocks:
+        cells = [encoders[type(column[0])](column) for column in columns]
+        yield separator + ",\n".join([template % row for row in zip(*cells)])
+        separator = ",\n"
+    yield "[]\n" if separator == "[\n" else "\n]\n"
+
+
 def dataset_to_csv(dataset: DatasetFile) -> str:
     """Serialize to the summary CSV, each name quoted by the rule of
     ``_csv_cells``; re-parsing yields equal records."""
-    records = dataset.records
-    names = _csv_cells([rec.name for rec in records])
-    lines = [",".join(SUMMARY_HEADER)]
-    lines += [f"{name},{rec.papers},{rec.h},{rec.uncited},{rec.citations},{rec.core_citations}"
-              for name, rec in zip(names, records)]
-    return "\n".join(lines) + "\n"
+    return "".join(_write_csv(SUMMARY_HEADER, column_chunks(dataset.records)))
 
 
 def dataset_to_json(dataset: DatasetFile) -> str:
     """Serialize to the JSON mirror of the summary CSV fields."""
-    import json
-
-    items = [{"name": rec.name, "P": rec.papers, "h": rec.h, "Pz": rec.uncited,
-              "C": rec.citations, "Ch": rec.core_citations} for rec in dataset.records]
-    return json.dumps(items, indent=2) + "\n"
+    return "".join(_write_json(SUMMARY_HEADER, column_chunks(dataset.records)))

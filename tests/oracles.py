@@ -166,8 +166,16 @@ def cell(value, figures: int | None) -> str:
     return format_sig(value, figures)
 
 
+def one_line(text: str) -> str:
+    """text with every character that ``str.splitlines`` splits at written
+    as its escape, one character at a time."""
+    return "".join(c.encode("unicode_escape").decode("ascii") if len(f"a{c}b".splitlines()) > 1
+                   else c for c in text)
+
+
 def write_table(headers: Sequence[str], rows: Sequence[Sequence], figures: int) -> str:
-    cells = [[cell(v, figures) for v in row] for row in rows]
+    """The table: each cell on its row's line, line breaks escaped."""
+    cells = [[one_line(cell(v, figures)) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) if i == 0 else h.rjust(w)

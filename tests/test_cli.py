@@ -921,6 +921,57 @@ class TestJsonNames:
                                b"which UTF-8 cannot encode\n")
 
 
+class TestLineBreaksInNames:
+    """A character at which str.splitlines splits is written as its Python
+    escape in a table cell and in a warning, error or usage-error line, so
+    that none of them splits; csv and json keep the character."""
+
+    DATA = 'name,P,h,Pz,C,Ch\n"A\nB",10,3,1,38,20\n"W\r\x85X",10,2,1,8,5\nPlain,8,2,1,20,10\n'
+    NAMES = ["A\nB", "W\r\x85X", "Plain"]
+    WARNING = ("warning: W\\r\\x85X: tail citations below tail paper count (Ct=3 < Pt=7); "
+               "every cited tail paper carries at least one citation\n")
+
+    @pytest.mark.parametrize("args, names, stderr", [
+        (["compute"], [["A\\nB"], ["W\\r\\x85X"], ["Plain"]], WARNING),
+        (["rank", "--output", "table"], [["1", "A\\nB"], ["2", "Plain"], ["3", "W\\r\\x85X"]], ""),
+    ], ids=["compute", "rank"])
+    def test_table_rows_and_warnings_stay_on_one_line(self, runner, tmp_path, args, names,
+                                                      stderr):
+        path = tmp_path / "breaks.csv"
+        path.write_text(self.DATA, encoding="utf-8", newline="")
+        result = invoke(runner, [*args, "--input", str(path)])
+        assert (result.exit_code, result.stderr_bytes.decode()) == (0, stderr)
+        lines = result.stdout_bytes.decode().split("\n")
+        assert len(lines) == 5 and lines[-1] == ""
+        assert [line.split()[:len(names[0])] for line in lines[1:-1]] == names
+
+    def test_csv_and_json_keep_the_characters(self, runner, tmp_path):
+        path = tmp_path / "breaks.csv"
+        path.write_text(self.DATA, encoding="utf-8", newline="")
+        csv_out = invoke(runner, ["compute", "--input", str(path), "--output", "csv"])
+        rows = list(csv.reader(io.StringIO(csv_out.stdout_bytes.decode(), newline="")))
+        assert [row[0] for row in rows[1:]] == self.NAMES
+        json_out = invoke(runner, ["rank", "--input", str(path), "--output", "json"])
+        assert [item["name"] for item in json.loads(json_out.stdout_bytes)] == [
+            "A\nB", "Plain", "W\r\x85X"]
+
+    @pytest.mark.parametrize("command", ["compute", "rank"])
+    def test_error_line(self, runner, tmp_path, command):
+        path = tmp_path / "bad.csv"
+        path.write_text('name,P,h,Pz,C,Ch\n"A\nB",0,0,0,0,0\n', encoding="utf-8", newline="")
+        result = invoke(runner, [command, "--input", str(path), "--output", "table"])
+        assert (result.exit_code, result.stdout_bytes) == (1, b"")
+        assert result.stderr_bytes == b"error: row 3: A\\nB: P must be >= 1, got 0\n"
+
+    def test_usage_error_line(self, runner, tmp_path):
+        missing = str(tmp_path / "no\u2028such\nfile.csv")
+        result = invoke(runner, ["compute", "--input", missing])
+        assert result.exit_code == 2
+        escaped = missing.replace("\u2028", "\\u2028").replace("\n", "\\n")
+        assert result.stderr_bytes.decode().endswith(
+            f"\ncitetrace compute: error: input file not found: {escaped}\n")
+
+
 class TestTableOutput:
     def test_precision_flag_controls_table_digits(self, runner, tmp_path):
         path = tmp_path / "joi.csv"

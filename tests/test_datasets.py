@@ -1,7 +1,9 @@
 """Dataset parsing, validation wiring, and round-trip serialization."""
 
 import csv
+import enum
 import functools
+import itertools
 import json
 import random
 from unittest import mock
@@ -28,6 +30,8 @@ from citetrace import (
 from citetrace import datasets, partition
 from citetrace.datasets import citation_columns, summary_columns
 from citetrace.partition import record_columns
+
+from oracles import write_csv, write_json
 
 SUMMARY = "name,P,h,Pz,C,Ch\nJ Informetr,105,18,5,1132,574\nYe FY,25,5,9,72,51\n"
 CITATIONS = "name,citations\nA,10;8;5;4;3\nB,0;0;0\n"
@@ -455,6 +459,73 @@ class TestParseJson:
         with pytest.raises(ValidationError, match="item 0"):
             parse_json(payload)
 
+    FIELDS = ("fields must be exactly ('name', 'P', 'h', 'Pz', 'C', 'Ch') "
+              "or ('name', 'citations')")
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"name": "A"}', "JSON dataset must be an array of objects"),
+        ('[{"name": "A", "citations": [1]}, 3]', "item 1: expected an object"),
+        ('[[]]', "item 0: expected an object"),
+        ('[{"name": "A", "P": 1}]', "item 0: " + FIELDS),
+        ('[{"name": "A", "citations": [1], "P": 1}]', "item 0: " + FIELDS),
+        ('[{"name": "A", "P": 1, "h": 0, "Pz": 0, "C": 0, "Ch": 0}, {"name": "B", '
+         '"citations": [1]}]', "item 1: mixed record types in one dataset"),
+        ('[{"name": 7, "citations": [1]}]', "item 0: name must be a string"),
+        ('[{"name": null, "P": 1, "h": 0, "Pz": 0, "C": 0, "Ch": 0}]',
+         "item 0: name must be a string"),
+        ('[{"name": "\\udc00 A", "citations": [1]}]',
+         "item 0: name holds a lone surrogate, which UTF-8 cannot encode"),
+    ], ids=["not-an-array", "not-an-object", "list-item", "too-few-fields", "both-kinds",
+            "mixed", "number-name", "null-name", "lone-surrogate"])
+    def test_first_error_of_each_json_rule(self, payload, message):
+        assert _outcome(lambda: parse_json(payload)) == (ParseError, message)
+
+    SUMMARY_A = {"name": "A", "P": 1, "h": 0, "Pz": 0, "C": 0, "Ch": 0}
+
+    @pytest.mark.parametrize("items, error, message", [
+        # a structural error before a duplicate name
+        ([{"name": "A", "citations": [1]}, {"name": "A", "P": 1}],
+         ParseError, "item 1: " + FIELDS),
+        ([{"name": "A", "citations": [1]}, SUMMARY_A],
+         ParseError, "item 1: mixed record types in one dataset"),
+        # a duplicate name before a bad field type or an invalid record
+        ([{"name": "A", "citations": [1]}, {"name": " A", "citations": [True]}],
+         DuplicateEntity, "item 1: duplicate entity 'A'"),
+        ([SUMMARY_A, {**SUMMARY_A, "name": "A ", "P": "x"}],
+         DuplicateEntity, "item 1: duplicate entity 'A'"),
+        ([SUMMARY_A, {**SUMMARY_A, "P": 0}], DuplicateEntity, "item 1: duplicate entity 'A'"),
+        # the first bad field type in field order, before the record's own checks
+        ([{**SUMMARY_A, "name": "", "h": 1.5, "C": "2"}], ParseError, "item 0: h must be an integer"),
+        ([{"name": "", "citations": []}], ParseError, "item 0: empty citation list"),
+        ([{"name": "", "citations": [1]}], ValidationError,
+         "item 0: entity name must be non-empty"),
+    ], ids=["fields-before-duplicate", "mixed-before-duplicate", "duplicate-before-count-type",
+            "duplicate-before-field-type", "duplicate-before-invalid", "field-order",
+            "empty-list-before-name", "blank-name"])
+    def test_order_of_errors_within_an_item(self, items, error, message):
+        assert _outcome(lambda: parse_json(json.dumps(items))) == (error, message)
+
+    @pytest.mark.parametrize("items, error, message", [
+        ([{"name": "X", "P": 10, "h": 4, "Pz": 0, "C": 20, "Ch": 15}, 5], ValidationError,
+         "item 0: X: Ch < h^2 (15 < 16); each core paper has >= h citations"),
+        ([{"name": "A", "citations": []}, SUMMARY_A], ParseError, "item 0: empty citation list"),
+        ([{"name": "A", "citations": [1]}, {"name": "A", "citations": [1]}, {"name": "B"}],
+         DuplicateEntity, "item 1: duplicate entity 'A'"),
+        # item 0's kind decides what "mixed" means
+        ([SUMMARY_A, {**SUMMARY_A, "name": "B"}, {"name": "C", "citations": [1]}], ParseError,
+         "item 2: mixed record types in one dataset"),
+        ([{"name": "A", "citations": [1]}, {"name": "B", "citations": "2;0"}, SUMMARY_A],
+         ParseError, "item 2: mixed record types in one dataset"),
+        ([{"name": "A"}, {"name": "B", "citations": [1]}], ParseError, "item 0: " + FIELDS),
+    ], ids=["invalid-before-structure", "bad-list-before-mixed", "duplicate-before-fields",
+            "summary-first", "citations-first", "bad-item-0"])
+    def test_order_of_errors_across_items(self, items, error, message):
+        assert _outcome(lambda: parse_json(json.dumps(items))) == (error, message)
+
+    def test_empty_array_gives_no_records(self):
+        assert parse_json("[]") == DatasetFile("json", ())
+        assert parse_json(b" [ ] ", source="s", window="w") == DatasetFile("json", (), "s", "w")
+
 
 class TestRoundTrips:
     def test_summary_csv_round_trip(self):
@@ -490,6 +561,58 @@ class TestRoundTrips:
         written as it is otherwise, whatever the Python version."""
         ds = DatasetFile("summary-csv", (SummaryRecord(name, 10, 2, 3, 9, 5),))
         assert dataset_to_csv(ds) == f"name,P,h,Pz,C,Ch\n{cell},10,2,3,9,5\n"
+
+
+_counts = st.integers(0, 10 ** 300 // 3) | st.integers(0, 50)
+
+
+@st.composite
+def serialized_records(draw) -> SummaryRecord:
+    """A valid record with any name over the CSV and JSON special texts
+    and counts of up to about 10^300."""
+    name = draw(st.text(st.sampled_from([",", '"', "\r", "\n", "\x00", "é", "😀", "a", " "]),
+                        min_size=1, max_size=6))
+    h = draw(st.integers(0, 10 ** 150) | st.integers(0, 9))
+    pt, pz = draw(_counts), draw(_counts)
+    if h + pt + pz == 0:
+        pz = 1
+    ch = h * h + draw(_counts) if h else 0
+    c = ch + draw(_counts) if h else 0
+    return SummaryRecord(name, h + pt + pz, h, pz, c, ch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(serialized_records(), min_size=1, max_size=5),
+       st.sampled_from([0, 1, 1024, 1025]))
+def test_serializers_equal_the_cell_by_cell_oracle(drawn, size):
+    """dataset_to_csv and dataset_to_json write what csv.writer and
+    json.dumps write for the records' columns, across the chunk edge."""
+    records = tuple(itertools.islice(itertools.cycle(drawn), size))
+    rows = [record[:6] for record in records]
+    header = ["name", "P", "h", "Pz", "C", "Ch"]
+    for kind in ("summary-csv", "json"):
+        dataset = DatasetFile(kind, records)
+        assert dataset_to_csv(dataset) == write_csv(header, rows)
+        assert dataset_to_json(dataset) == write_json(header, rows)
+
+
+def test_subclass_values_are_written_as_their_base_type():
+    """SummaryRecord takes a count of any int subclass but bool, and any
+    name; the serializers write them as csv.writer and json.dumps did."""
+    class Name(str):
+        pass
+
+    size = enum.IntEnum("Size", {"THREE": 3}).THREE
+    first = SummaryRecord(Name('b,"'), size, 1, type("Count", (int,), {})(0), 2, 1)
+    dataset = DatasetFile("summary-csv", (first, SummaryRecord("c", 3, 1, 0, size, 1)))
+    assert dataset_to_csv(dataset) == 'name,P,h,Pz,C,Ch\n"b,""",3,1,0,2,1\nc,3,1,0,3,1\n'
+    assert dataset_to_json(dataset) == json.dumps(
+        [{"name": 'b,"', "P": 3, "h": 1, "Pz": 0, "C": 2, "Ch": 1},
+         {"name": "c", "P": 3, "h": 1, "Pz": 0, "C": 3, "Ch": 1}], indent=2) + "\n"
+    unwritable = DatasetFile("summary-csv", (SummaryRecord(b"a", 1, 1, 0, 1, 1),))
+    for serialize in (dataset_to_csv, dataset_to_json):
+        with pytest.raises(TypeError):
+            serialize(unwritable)
 
 
 class TestOneRecordType:

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from citetrace import (DatasetFile, SummaryRecord, dataset_to_csv, rank_entities, score,
                        score_table)
-from citetrace import cli
-from citetrace.cli import _format_sig, _write_csv, _write_json, _write_table, main
+from citetrace import cli, partition
+from citetrace.cli import _format_sig, _write_table, main
+from citetrace.datasets import _write_csv, _write_json
 
 from cli_runner import CliRunner
 from oracles import format_sig, write_csv, write_json, write_table
@@ -60,7 +61,7 @@ def render(writer, headers, rows, *args, keep=None, ranked=False) -> str:
        block_rows=st.sampled_from([1, 2, 3, 1024]))
 def test_renderers_match_the_cell_by_cell_oracle(report, figures, block_rows):
     headers, rows = report
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(partition, "_CHUNK_ROWS", block_rows):
         assert render(_write_csv, headers, rows) == write_csv(headers, rows)
         assert render(_write_json, headers, rows) == write_json(headers, rows)
         assert render(_write_table, headers, rows, figures) == write_table(headers, rows, figures)
@@ -88,7 +89,7 @@ def test_csv_reads_back(header, texts, block_rows):
     def read(text):
         return list(csv.reader(io.StringIO(text, newline="")))
 
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(partition, "_CHUNK_ROWS", block_rows):
         assert read(render(_write_csv, [header], [(t,) for t in texts])) == [
             [header], *([t] for t in texts)]
         assert read(render(_write_csv, [header, "n"], [(t, i) for i, t in enumerate(texts)])) == [
@@ -111,7 +112,7 @@ def _entity(i: int) -> SummaryRecord:
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_block_edges_match_the_oracle(monkeypatch, block_rows):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(partition, "_CHUNK_ROWS", block_rows)
     scores = [score(_entity(i)) for i in range(11)]
     headers = list(scores[0]._fields)
     assert render(_write_csv, headers, scores) == write_csv(headers, scores)
@@ -133,11 +134,22 @@ def test_block_edges_match_the_oracle(monkeypatch, block_rows):
         kept, masked, 4)
 
 
+def test_blocks_have_the_chunk_size_of_the_readers(monkeypatch):
+    """Reports are written in blocks of partition._CHUNK_ROWS rows, the size
+    the readers and the scoring kernel use, read when _blocks is called."""
+    columns = [list("abcdefg"), list(range(7))]
+    monkeypatch.setattr(partition, "_CHUNK_ROWS", 3)
+    assert [[list(c) for c in block] for block in cli._blocks(columns)] == [
+        [list("abc"), [0, 1, 2]], [list("def"), [3, 4, 5]], [["g"], [6]]]
+    assert [[list(c) for c in block] for block in cli._blocks(columns, [6, 0, 5, 1], True)] == [
+        [[1, 2, 3], list("gaf"), [6, 0, 5]], [[4], ["b"], [1]]]
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 1024])
 def test_picked_rows_of_a_score_table_match_the_oracle(monkeypatch, block_rows):
     """_blocks on table columns with row positions, as rank feeds it: a
     permutation that repeats and skips rows, and no rows at all."""
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(partition, "_CHUNK_ROWS", block_rows)
     table = score_table(_entity(i) for i in range(11))
     headers = ["rank", *table._fields]
     for rows in ([10, 3, 3, 0, 7, 1, 9], [], list(range(11))):
@@ -248,9 +260,31 @@ def test_format_sig_sweep_matches_oracle():
     assert exponent_texts > 0
 
 
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 1024])
+def test_table_rows_stay_on_one_line(monkeypatch, block_rows):
+    """A string cell holding any character that str.splitlines splits at
+    keeps its row on one line, with that character escaped; the unit
+    separator U+001F does not split and stays."""
+    monkeypatch.setattr(partition, "_CHUNK_ROWS", block_rows)
+    texts = ["plain", *(f"a{c}b" for c in LINE_BREAKS), "\r\n", "x\x1fy", LINE_BREAKS]
+    rows = [(text, i) for i, text in enumerate(texts)]
+    table = render(_write_table, ["name", "n"], rows, 4)
+    assert table == write_table(["name", "n"], rows, 4)
+    lines = table.split("\n")
+    assert len(table.splitlines()) == len(lines) - 1 == len(rows) + 1
+    assert [line.rsplit(None, 1)[0].rstrip(" ") for line in lines[1:-1]] == [
+        "plain", "a\\nb", "a\\rb", "a\\x0bb", "a\\x0cb", "a\\x1cb", "a\\x1db", "a\\x1eb",
+        "a\\x85b", "a\\u2028b", "a\\u2029b", "\\r\\n", "x\x1fy",
+        "\\n\\r\\x0b\\x0c\\x1c\\x1d\\x1e\\x85\\u2028\\u2029"]
+
+
 def test_table_number_texts_hold_no_newline():
-    """_write_table keeps each block's int, float and None columns joined by
-    newlines until layout, which is lossless only while no such text holds one."""
+    """_write_table keeps each block's columns joined by newlines until
+    layout, which is lossless only while no text holds one: strings have
+    theirs escaped, and no number's text has one."""
     values = _sweep_values()
     for figures in range(1, 18):
         assert not any("\n" in _format_sig(value, figures) for value in values), figures

@@ -1,5 +1,7 @@
-"""Every demo runs cleanly and every exported name resolves."""
+"""Every demo runs cleanly, every exported name resolves, and each output
+format has one writer."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,11 @@ import citetrace
 
 TESTS = Path(__file__).parent
 DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
+PACKAGE = TESTS.parent / "src" / "citetrace"
+
+# Writers that would be a second CSV or JSON writer beside datasets._write_csv
+# and datasets._write_json.
+SECOND_WRITERS = {"csv.writer", "json.dump", "json.dumps"}
 
 # CI runs these modules on an install without the test extra.
 STDLIB_ONLY_MODULES = ["test_cli", "test_reference", "test_smoke"]
@@ -59,3 +66,41 @@ def test_stdlib_only_modules_import_no_test_dependency():
                            ",".join(STDLIB_ONLY_MODULES), ",".join(TEST_ONLY_PACKAGES)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _calls(source: str):
+    """The dotted name and line of each call in source whose function is a
+    name or an attribute of a name, with imported names resolved."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.update({alias.asname or alias.name: f"{node.module}.{alias.name}"
+                             for alias in node.names})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            yield f"{imported.get(func.value.id, func.value.id)}.{func.attr}", node.lineno
+        elif isinstance(func, ast.Name):
+            yield imported.get(func.id, func.id), node.lineno
+
+
+def test_calls_resolve_imported_names():
+    source = ("import json as j\nfrom csv import writer as w\nfrom json import dump\n"
+              "j.dumps(1)\nw(f)\ndump(1, f)\njson.loads('1')\n")
+    assert list(_calls(source)) == [("json.dumps", 4), ("csv.writer", 5), ("json.dump", 6),
+                                    ("json.loads", 7)]
+
+
+def test_each_format_has_one_writer():
+    """The package writes CSV and JSON only through datasets._write_csv and
+    datasets._write_json: it calls no csv.writer, json.dump or json.dumps."""
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths
+    assert [f"{path.name}:{line}: {name}" for path in paths
+            for name, line in _calls(path.read_text(encoding="utf-8"))
+            if name in SECOND_WRITERS] == []
