@@ -19,7 +19,9 @@ import math
 import os
 import re
 import sys
+from array import array
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -303,10 +305,9 @@ def _join_metrics(names: Sequence[str], metrics: MetricTable | None):
           for name in metrics.rows if name not in matched_names])
     if not matched:
         raise JoinError("no entity names in common between dataset and metric file")
-    metric_columns = {
-        metric: [metrics.rows[names[i]][j] for i in matched]
-        for j, metric in enumerate(metrics.metrics)
-    }
+    rows = [metrics.rows[names[i]] for i in matched]
+    metric_columns = {metric: array("d", map(itemgetter(j), rows))
+                      for j, metric in enumerate(metrics.metrics)}
     return matched, metric_columns
 
 
@@ -333,7 +334,10 @@ def correlate(input_, format_, output, group, metric_file, precision, columns) -
     series = []
     for column in columns:
         if column in INDICATOR_KEYS:
-            series.append((column, list(map(getattr(table, column).__getitem__, matched))))
+            values = getattr(table, column)
+            if len(matched) < len(values):
+                values = array("d", map(values.__getitem__, matched))
+            series.append((column, values))
         elif column in metric_columns:
             series.append((column, metric_columns[column]))
         else:

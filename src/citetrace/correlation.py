@@ -1,23 +1,36 @@
 """Pearson and Spearman correlation with midrank ties and t-based p-values.
 
 Coefficients are exact until one final rounding.  A finite float is a
-dyadic rational, so a column over its largest power-of-two denominator
-is a list of integers, and num = n*Sxy - Sx*Sy, dx = n*Sxx - Sx^2 and
-dy = n*Syy - Sy^2 are exact integers that cannot overflow.  r^2 =
-num^2/(dx*dy) is one correctly rounded division, taken at a power-of-four
-scale that keeps it a normal float even for |r| < 2^-511, and |r| is its
-square root.  So pearson r and spearman rho are within one unit in the
-last place of the exact coefficient of their input floats, for finite
-input of any magnitude; only an |r| below 2^-1022, itself subnormal, is
-rounded a second time.  A column is constant exactly when its dx is 0;
-such columns are rejected as floats, before any sum is taken.
+dyadic rational, so a column times a large enough power of two is a list
+of integers, and num = n*Sxy - Sx*Sy, dx = n*Sxx - Sx^2 and dy = n*Syy -
+Sy^2 are exact integers that cannot overflow.  r^2 = num^2/(dx*dy) is one
+correctly rounded division, taken at a power-of-four scale that keeps it
+a normal float even for |r| < 2^-511, and |r| is its square root.  So
+pearson r and spearman rho are within one unit in the last place of the
+exact coefficient of their input floats, for finite input of any
+magnitude; only an |r| below 2^-1022, itself subnormal, is rounded a
+second time.  A column is constant exactly when its dx is 0; such
+columns are rejected as floats, before any sum is taken.
 
-Every Sxx and Sxy comes from one Gram kernel (Kronecker substitution): with
-|x| < 2^L over n rows, each sum fits a signed field of B = 2L + bits(n) + 2
-bits, so summing x_c * (x_c + x_(c+1)*2^B + ...) over the rows gives Sxy for
-every later y, exactly, from one multiply per row.  Packs are capped at 4096
-bits, past which the doubled digit work outweighs the per-integer overhead
-saved, so columns wider than about 2000 bits are multiplied pairwise.
+r does not depend on the power of two: a column times 2^k has num times
+2^k and dx times 4^k, so num^2 and dx*dy are both 4^k times larger, their
+bit lengths pick the same power-of-four scale, and the quotient rounds to
+the same float.  So each float column gets its power, 2^shift, from one
+pass over it in C: 2^shift times its smallest nonzero magnitude has 53
+bits before the point, and so has 2^shift times any larger magnitude, at
+least.  Doubled midranks are integers as they are.
+
+The rows are walked in blocks of ``partition._CHUNK_ROWS``, the block size
+of the readers and writers.  Exact integers are made for one block at a
+time, by ldexp while 2^shift times the column's largest magnitude stays
+a finite float and from ``as_integer_ratio`` past that, and Sx and every
+Sxx and Sxy add up over the blocks.  Every Sxx and Sxy comes from one Gram
+kernel (Kronecker substitution): with |x| < 2^L over n rows, each sum fits
+a signed field of B = 2L + bits(n) + 2 bits, so summing x_c * (x_c +
+x_(c+1)*2^B + ...) over the rows gives Sxy for every later y, exactly,
+from one multiply per row.  Packs are capped at 4096 bits, past which the
+doubled digit work outweighs the per-integer overhead saved, so columns
+wider than about 2000 bits are multiplied pairwise.
 """
 
 from __future__ import annotations
@@ -26,8 +39,10 @@ import itertools
 import math
 import operator
 import sys
-from typing import NamedTuple, Sequence
+from array import array
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import partition
 from .errors import DegenerateInput, LengthMismatch
 
 __all__ = [
@@ -42,12 +57,12 @@ __all__ = [
 ]
 
 
-def _require_finite(values: list[float]) -> None:
+def _require_finite(values: Sequence[float]) -> None:
     if not all(map(math.isfinite, values)):
         raise DegenerateInput("values must be finite (no NaN or infinity)")
 
 
-def _require_columns(*columns: list[float]) -> None:
+def _require_columns(*columns: Sequence[float]) -> None:
     """Every column finite, then every (non-empty) column not constant."""
     for values in columns:
         _require_finite(values)
@@ -56,7 +71,7 @@ def _require_columns(*columns: list[float]) -> None:
             raise DegenerateInput("constant sequence has no defined correlation")
 
 
-def _require_pair(x: list[float], y: list[float]) -> None:
+def _require_pair(x: Sequence[float], y: Sequence[float]) -> None:
     if len(x) != len(y):
         raise LengthMismatch(f"paired sequences must match: {len(x)} vs {len(y)}")
     if len(x) < 2:
@@ -64,33 +79,34 @@ def _require_pair(x: list[float], y: list[float]) -> None:
     _require_columns(x, y)
 
 
-def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
-    fx, fy = list(map(float, x)), list(map(float, y))
+def _floats(values: Sequence[float]) -> array:
+    """The values as an array of doubles; such an array as it is."""
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    return array("d", map(float, values))
+
+
+def _paired(x: Sequence[float], y: Sequence[float]) -> tuple[array, array]:
+    fx, fy = _floats(x), _floats(y)
     _require_pair(fx, fy)
     return fx, fy
 
 
-def _exact(column: list[float]) -> list[int]:
-    """The finite column times its largest power-of-two denominator."""
-    ratios = [v.as_integer_ratio() for v in column]
-    bits = max(d for _, d in ratios).bit_length()
-    return [m << (bits - d.bit_length()) for m, d in ratios]
-
-
 _PACK_BITS = 4096  # widest row pack (see the module docstring)
-_PACK_ROWS = 256  # rows packed at a time, which bounds the packs' memory
 
 
-def _gram(columns: list[list[int]]) -> dict[tuple[int, int], int]:
-    """sum(x_i * x_j) for every i <= j of equal-length integer columns."""
-    n = len(columns[0])
-    width = max(v.bit_length() for xs in columns for v in (min(xs), max(xs)))
+def _block_sums(blocks: Iterable[Sequence[Sequence[int]]], count: int, n: int,
+                width: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """sum(x_i) of each of count integer columns of n rows, below 2^width in
+    magnitude, and sum(x_i * x_j) of every i <= j, given a block of rows at a
+    time as one slice of each column."""
     field = 2 * width + n.bit_length() + 2  # holds any sum of n products, with its sign
-    size = max(1, min(len(columns), _PACK_BITS // field))
-    groups = [range(a, min(a + size, len(columns))) for a in range(0, len(columns), size)]
+    size = max(1, min(count, _PACK_BITS // field))
+    groups = [range(a, min(a + size, count)) for a in range(0, count, size)]
     packed = {(c, g): 0 for g in groups for c in range(g.stop)}
-    for start in range(0, n, _PACK_ROWS):
-        rows = [xs[start:start + _PACK_ROWS] for xs in columns]
+    sums = [0] * count
+    for rows in blocks:
+        sums = list(map(operator.add, sums, map(sum, rows)))
         for g in groups:
             pack = rows[g[-1]]
             for c in reversed(range(g.stop)):
@@ -103,7 +119,7 @@ def _gram(columns: list[list[int]]) -> dict[tuple[int, int], int]:
         for d in range(max(c, g.start), g.stop):  # the lowest field left is sum(x_c * x_d)
             gram[c, d] = f = ((t + half) & mask) - half
             t = (t - f) >> field
-    return gram
+    return sums, gram
 
 
 def _coefficient(n: int, sx: int, sxx: int, sy: int, syy: int, sxy: int) -> float:
@@ -116,33 +132,58 @@ def _coefficient(n: int, sx: int, sxx: int, sy: int, syy: int, sxy: int) -> floa
     return -r if num < 0 else r
 
 
-def _coefficients(columns: list[list[int]]) -> dict[tuple[int, int], float]:
-    """Pearson r of every pair i < j of non-constant integer columns."""
-    n, sums, gram = len(columns[0]), list(map(sum, columns)), _gram(columns)
+def _correlations(columns: Sequence[Sequence], width: int,
+                  exact: Callable[[Sequence, int], Sequence[int]]) -> dict[tuple[int, int], float]:
+    """Pearson r of every pair i < j of non-constant columns whose exact
+    integers, below 2^width in magnitude, are exact(block, i) for a block of
+    column i, walking the rows a block of ``partition._CHUNK_ROWS`` at a time."""
+    count, n, rows = len(columns), len(columns[0]), partition._CHUNK_ROWS
+    blocks = ([exact(xs[start:start + rows], i) for i, xs in enumerate(columns)]
+              for start in range(0, n, rows))
+    sums, gram = _block_sums(blocks, count, n, width)
     return {(i, j): _coefficient(n, sums[i], gram[i, i], sums[j], gram[j, j], gram[i, j])
-            for i, j in itertools.combinations(range(len(columns)), 2)}
+            for i, j in itertools.combinations(range(count), 2)}
+
+
+def _value_correlations(columns: Sequence[array]) -> dict[tuple[int, int], float]:
+    """Pearson r of every pair i < j of finite, non-constant float columns,
+    each times 2^shift (see the module docstring)."""
+    shifts = [53 - math.frexp(min(filter(None, map(abs, xs))))[1] for xs in columns]
+    widths = [math.frexp(max(map(abs, xs)))[1] + shift for xs, shift in zip(columns, shifts)]
+
+    def exact(block: array, i: int) -> list[int]:  # through a float while that stays finite
+        shift = shifts[i]
+        if widths[i] <= 1024:
+            return list(map(int, map(math.ldexp, block, itertools.repeat(shift))))
+        return [m << shift + 1 - d.bit_length() for m, d in map(float.as_integer_ratio, block)]
+
+    return _correlations(columns, max(widths), exact)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient, rounded from its exact value."""
-    fx, fy = _paired(x, y)
-    return _coefficients([_exact(fx), _exact(fy)])[0, 1]
+    return _value_correlations(_paired(x, y))[0, 1]
 
 
-def _doubled_ranks(values: list[float]) -> list[int]:
+def _doubled_ranks(values: array) -> array:
     """Twice the midranks of finite values, as exact integers: a run of ties
     at sorted positions start .. end-1 shares the midrank (start+end+1)/2.
     NaN would break the sort's order, so every caller checks first."""
-    ends = {x: i + 1 for i, x in enumerate(sorted(values))}  # ascending, one past each tie run
-    rank, start = {}, 0
-    for x, end in ends.items():  # x fills sorted positions start .. end-1
-        rank[x], start = start + end + 1, end
-    return [rank[x] for x in values]
+    ranks = {x: i + 1 for i, x in enumerate(sorted(values))}  # ascending, one past each tie run
+    start = 0
+    for x, end in ranks.items():  # x fills sorted positions start .. end-1
+        ranks[x], start = start + end + 1, end  # a new value for a key: the dict keeps its size
+    return array("q", map(ranks.__getitem__, values))
+
+
+def _rank_correlations(columns: Sequence[array]) -> dict[tuple[int, int], float]:
+    """Pearson r of every pair i < j of non-constant columns of doubled ranks."""
+    return _correlations(columns, max(map(max, columns)).bit_length(), lambda block, i: block)
 
 
 def midranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n with tied values sharing the average of their positions."""
-    floats = list(map(float, values))
+    floats = _floats(values)
     _require_finite(floats)
     return [0.5 * r for r in _doubled_ranks(floats)]
 
@@ -152,8 +193,7 @@ def midranks(values: Sequence[float]) -> list[float]:
 # scaled by a power of two.
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho: the Pearson correlation of the midranks."""
-    fx, fy = _paired(x, y)
-    return _coefficients([_doubled_ranks(fx), _doubled_ranks(fy)])[0, 1]
+    return _rank_correlations(list(map(_doubled_ranks, _paired(x, y))))[0, 1]
 
 
 def significance(r: float, n: int) -> float:
@@ -268,15 +308,15 @@ def correlation_report(columns: Sequence[tuple[str, Sequence[float]]]) -> Correl
     lengths = {len(values) for _, values in columns}
     if len(lengths) > 1:
         raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
-    floats = [list(map(float, values)) for _, values in columns]
+    floats = [_floats(values) for _, values in columns]
     if len(floats) < 2:
         return CorrelationReport(pairs=())
     _require_pair(floats[0], floats[1])  # the checks of pair-by-pair calls, in their order
     for values in floats[2:]:
         _require_columns(values)
     n = len(floats[0])
-    rs = _coefficients(list(map(_exact, floats)))
-    rhos = _coefficients(list(map(_doubled_ranks, floats)))
+    rs = _value_correlations(floats)
+    rhos = _rank_correlations([_doubled_ranks(values) for values in floats])
     pairs = []
     for (i, j), r in rs.items():
         rho = rhos[i, j]

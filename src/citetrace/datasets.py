@@ -26,8 +26,8 @@ from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DuplicateEntity, ParseError, ValidationError
-from .partition import (_CHUNK_ROWS, SummaryRecord, chunks, column_chunks, columns_valid,
-                        ranked_summary, record_columns, summarize)
+from .partition import (SummaryRecord, chunks, column_chunks, columns_valid, ranked_summary,
+                        record_columns, summarize)
 
 __all__ = [
     "DatasetFile",
@@ -227,7 +227,7 @@ class _Counts(dict):
         return count
 
 
-_MEMO_TEXTS = 4 * _CHUNK_ROWS  # texts a _Counts holds before it starts over: about 0.5 MB
+_MEMO_TEXTS = 4096  # texts a _Counts holds before it starts over: about 0.5 MB
 
 
 def _citations_checked(names: list[str], cells: list[tuple[str, ...]]) -> list[list[int]]:

@@ -65,6 +65,8 @@ class SummaryRecord(_Fields):
         p, pz, c, ch = papers, uncited, citations, core_citations
         if not name:
             raise ValidationError("entity name must be non-empty")
+        if not isinstance(name, str):
+            raise ValidationError(f"entity name must be a string, got {name!r}")
         # one test passes valid counts; only a failure builds labels to name the first bad one
         if not (type(p) is type(h) is type(pz) is type(c) is type(ch) is int
                 and min(p, h, pz, c, ch) >= 0):
@@ -146,8 +148,9 @@ def ranked_summary(ranked: list[int]) -> tuple[int, int, int, int, int]:
 def columns_valid(names: Sequence[str], ps: Sequence[int], hs: Sequence[int],
                   pzs: Sequence[int], cs: Sequence[int], chs: Sequence[int]) -> bool:
     """Whether ``SummaryRecord`` accepts every row of these columns of
-    integers: each invariant its ``__new__`` checks, tested over whole
-    columns at once.  It names no row; the record checks name the first bad one."""
+    string names and integers: each invariant its ``__new__`` checks, tested
+    over whole columns at once.  It names no row; the record checks name the
+    first bad one."""
     return (all(names) and min(ps) >= 1 and min(hs) >= 0 and min(pzs) >= 0
             and min(cs) >= 0 and min(chs) >= 0
             and all(map(le, hs, ps))
@@ -166,7 +169,9 @@ def record_columns(records: Sequence[SummaryRecord]) -> tuple[list, ...]:
             [r.core_citations for r in records])
 
 
-_CHUNK_ROWS = 1024  # rows read, checked and scored at a time: a chunk's lists live that long only
+# Rows read, checked, scored, written and correlated at a time: a chunk's lists
+# live that long only.
+_CHUNK_ROWS = 256
 
 
 def chunks(rows: Iterable) -> Iterator[list]:

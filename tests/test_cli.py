@@ -18,6 +18,7 @@ from citetrace import (
     dataset_to_json,
     datasets,
     parse_summary_csv,
+    partition,
     plausibility_warnings,
     score_table,
 )
@@ -1027,13 +1028,14 @@ def _row_by_row(data: str) -> str:
 
 
 class TestErrorOrderAcrossChunks:
-    """A summary CSV is read, checked and scored 1,024 rows at a time.  Its
-    errors and warnings still come out as the row-by-row parse gives them,
-    whether the bad row opens or closes a chunk.  Line 2 is the first row of
-    the first chunk, 1,025 its last, 1,026 the first of the second chunk and
-    4,097 the last of the fourth."""
+    """A summary CSV is read, checked and scored ``partition._CHUNK_ROWS``
+    (B) rows at a time.  Its errors and warnings still come out as the
+    row-by-row parse gives them, whether the bad row opens or closes a
+    chunk.  Line 2 is the first row of the first chunk, B + 1 its last,
+    B + 2 the first of the second chunk and 4B + 1 the last of the fourth."""
 
-    LINES = [2, 1025, 1026, 4097]
+    B = partition._CHUNK_ROWS
+    LINES = [2, B + 1, B + 2, 4 * B + 1]
     BAD = {
         "columns": "bad,1,2,3",
         "integer": "bad,20,x,2,50,9",
@@ -1051,10 +1053,10 @@ class TestErrorOrderAcrossChunks:
     WARNED = "warned,10,2,1,8,5"  # Ct = 3 < Pt = 7
     HUGE = f"huge,1,1,0,{10 ** 400},1"  # Y2 past the float range; also warned
 
-    @staticmethod
-    def compute(tmp_path, edits: dict[int, str]):
-        """compute on 4,200 rows with the rows at the given lines replaced."""
-        rows = _summary_rows(4200)
+    @classmethod
+    def compute(cls, tmp_path, edits: dict[int, str]):
+        """compute on 4B + 104 rows with the rows at the given lines replaced."""
+        rows = _summary_rows(4 * cls.B + 104)
         for line, row in edits.items():
             rows[line - 2] = row
         data = "name,P,h,Pz,C,Ch\n" + "\n".join(rows) + "\n"
@@ -1062,6 +1064,16 @@ class TestErrorOrderAcrossChunks:
         path.write_text(data)
         result = CliRunner().invoke(main, ["compute", "--input", str(path), "--output", "csv"])
         return data, result
+
+    def test_lines_open_and_close_chunks(self, tmp_path):
+        data, _ = self.compute(tmp_path, {})
+        firsts, lasts = [], []
+        for names, *_ in datasets.summary_columns(data):
+            firsts.append(int(names[0][1:]) + 2)  # row e0000 is on line 2
+            lasts.append(int(names[-1][1:]) + 2)
+        assert len(firsts) == 5 and lasts[-1] == 4 * self.B + 105
+        assert {self.LINES[0], self.LINES[2]} <= set(firsts)
+        assert {self.LINES[1], self.LINES[3]} <= set(lasts)
 
     @pytest.mark.parametrize("kind, line", [pair for pair in itertools.product(sorted(BAD), LINES)
                                             if pair != ("duplicate", 2)])
@@ -1077,7 +1089,7 @@ class TestErrorOrderAcrossChunks:
                                                ("duplicate", "integer"),
                                                ("columns", "h=0,C>0"),
                                                ("blank-name", "digits")])
-    @pytest.mark.parametrize("line", [1025, 4096])
+    @pytest.mark.parametrize("line", [B + 1, 4 * B])
     def test_the_earlier_of_two_bad_rows(self, tmp_path, first, second, line):
         data, result = self.compute(tmp_path, {line: self.BAD[first],
                                                line + 1: self.BAD[second]})
@@ -1087,8 +1099,9 @@ class TestErrorOrderAcrossChunks:
 
     @pytest.mark.parametrize("line", LINES)
     def test_overflow_names_its_entity_after_every_warning(self, tmp_path, line):
-        data, result = self.compute(tmp_path, {line: self.HUGE, 1024: self.WARNED,
-                                               4098: self.WARNED.replace("warned", "late")})
+        late = self.WARNED.replace("warned", "late")
+        data, result = self.compute(tmp_path, {line: self.HUGE, self.B: self.WARNED,
+                                               4 * self.B + 2: late})
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == _row_by_row(data)
@@ -1097,15 +1110,18 @@ class TestErrorOrderAcrossChunks:
 
     @pytest.mark.parametrize("line", LINES)
     def test_a_parse_error_after_an_overflow_comes_first(self, tmp_path, line):
-        data, result = self.compute(tmp_path, {line: self.HUGE, 4099: self.BAD["columns"]})
-        assert result.stderr == _row_by_row(data) == "error: row 4099: expected 6 columns, got 4\n"
+        bad = 4 * self.B + 3
+        data, result = self.compute(tmp_path, {line: self.HUGE, bad: self.BAD["columns"]})
+        assert result.stderr == _row_by_row(data)
+        assert result.stderr == f"error: row {bad}: expected 6 columns, got 4\n"
 
     def test_cells_only_the_row_parse_accepts(self, tmp_path):
         # int() keeps the "\x1c" that str.strip() removes, so the bulk conversion
         # rejects the cell and the record path reads the rest of the file
-        data, padded = self.compute(tmp_path, {1026: "e1024,\x1c21\x1c,3,2,51,9",
-                                               4097: self.WARNED})
-        _, plain = self.compute(tmp_path, {1026: "e1024,21,3,2,51,9", 4097: self.WARNED})
+        name, line, last = f"e{self.B:04d}", self.B + 2, 4 * self.B + 1
+        data, padded = self.compute(tmp_path, {line: f"{name},\x1c21\x1c,3,2,51,9",
+                                               last: self.WARNED})
+        _, plain = self.compute(tmp_path, {line: f"{name},21,3,2,51,9", last: self.WARNED})
         assert padded.exit_code == plain.exit_code == 0
         assert padded.stdout == plain.stdout
         assert padded.stderr == plain.stderr == _row_by_row(data)

@@ -1,9 +1,13 @@
 """Correlation coefficients, midranks, significance, and the pair report."""
 
+import itertools
 import math
 import operator
+import random
 import subprocess
 import sys
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import citetrace.correlation
+from citetrace import partition
 from citetrace import (
     DegenerateInput,
     LengthMismatch,
@@ -35,7 +40,7 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(lambda v:
 pair_lists = st.lists(st.tuples(finite, finite), min_size=2, max_size=60)
 
 
-ROWS = citetrace.correlation._PACK_ROWS
+ROWS = partition._CHUNK_ROWS  # the rows of a block the correlation kernel walks
 
 
 def pairwise_gram(columns):
@@ -43,12 +48,23 @@ def pairwise_gram(columns):
             for i in range(len(columns)) for j in range(i, len(columns))}
 
 
+def block_gram(columns):
+    """The kernel's sum(x_i * x_j) of integer columns, fed ROWS rows at a
+    time; its sum(x_i) of each column is checked on the way."""
+    n = len(columns[0])
+    width = max(v.bit_length() for xs in columns for v in (min(xs), max(xs)))
+    blocks = ([xs[start:start + ROWS] for xs in columns] for start in range(0, n, ROWS))
+    sums, gram = citetrace.correlation._block_sums(blocks, len(columns), n, width)
+    assert sums == list(map(sum, columns))
+    return gram
+
+
 @st.composite
 def int_columns(draw):
     """1 to 20 signed integer columns over 1 to more than two row blocks, of
-    mixed widths up to 2,100 bits (about the widest that _exact gives for
-    finite floats).  An extreme column holds only +-(2^L - 1) at the widest
-    L, so that its sums fill a packed field up to its sign boundary."""
+    mixed widths up to 2,100 bits (about the widest exact integers of a
+    finite float column).  An extreme column holds only +-(2^L - 1) at the
+    widest L, so that its sums fill a packed field up to its sign boundary."""
     rng = draw(st.randoms(use_true_random=False))
     widest = draw(st.sampled_from([1, 2, 12, 72, 300, 2100]) | st.integers(1, 2100))
     n = draw(st.integers(1, 2 * ROWS + 8))
@@ -67,7 +83,7 @@ class TestGram:
     @settings(max_examples=150, deadline=None)
     @given(int_columns())
     def test_equals_pairwise_products(self, columns):
-        assert citetrace.correlation._gram(columns) == pairwise_gram(columns)
+        assert block_gram(columns) == pairwise_gram(columns)
 
     # n = 1023 is the largest n of its bit length, so the sums of squares come
     # within a factor of 2 of the field's sign boundary: three columns packed
@@ -76,9 +92,80 @@ class TestGram:
     def test_extreme_columns_fill_their_fields(self, bits):
         top, n = 2 ** bits - 1, 4 * ROWS - 1
         columns = [[top] * n, [-top] * n, [top, -top] * (n // 2) + [top]]
-        gram = citetrace.correlation._gram(columns)
+        gram = block_gram(columns)
         assert gram == pairwise_gram(columns)
         assert gram[0, 0] == gram[1, 1] == n * top * top and gram[0, 1] == -n * top * top
+
+
+# n at the kernel's block edges: one row short of a block, a whole block, one
+# row into the next, and one row into a third
+EDGE_ROWS = [1, 2, 3, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]
+
+
+@st.composite
+def edge_columns(draw):
+    """2 or 3 non-constant columns of n rows at a block edge: lists of
+    floats, lists of ints, tuples and arrays of doubles, of magnitudes from
+    1e-300 to 1e300, with ties drawn from a pool of 2, 3 or 16 values."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.sampled_from(EDGE_ROWS))
+    columns = []
+    for _ in range(draw(st.integers(2, 3))):
+        kind = draw(st.sampled_from(["floats", "ints", "tuple", "array"]))
+        low, high = sorted([draw(st.integers(-300, 299)), draw(st.integers(-300, 299))])
+        size, pool = draw(st.sampled_from([2, 3, 16])), set()
+        while len(pool) < size:
+            if kind == "ints":
+                top = 10 ** max(high, 1)
+                pool.add(rng.randint(-top, top))
+            else:
+                pool.add(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(low, high + 1))
+        pool = sorted(pool)
+        values = [rng.choice(pool) for _ in range(n)]
+        values[0], values[-1] = pool[0], pool[-1]  # not constant, for n >= 2
+        columns.append({"floats": list, "ints": list, "tuple": tuple,
+                        "array": lambda v: array("d", v)}[kind](values))
+    return columns
+
+
+class TestBlockEdges:
+    """pearson, spearman and correlation_report agree with the exact
+    coefficient at the edges of the kernel's row blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_columns())
+    def test_agree_with_the_exact_coefficient(self, columns):
+        named = [(f"c{i}", xs) for i, xs in enumerate(columns)]
+        if len(columns[0]) == 1:
+            for call in (lambda: pearson(*columns[:2]), lambda: spearman(*columns[:2]),
+                         lambda: correlation_report(named)):
+                with pytest.raises(DegenerateInput, match="^need at least 2 pairs, got 1$"):
+                    call()
+            return
+        pairs = iter(correlation_report(named).pairs)
+        for x, y in itertools.combinations(columns, 2):
+            r, rho = pearson(x, y), spearman(x, y)
+            assert within_one_ulp(r, pearson_exact(x, y))
+            assert within_one_ulp(rho, pearson_exact(midranks_loop(x), midranks_loop(y)))
+            pair = next(pairs)
+            assert (repr(pair.pearson_r), repr(pair.spearman_rho)) == (repr(r), repr(rho))
+
+    def test_blocks_have_the_chunk_size_of_the_readers(self, monkeypatch):
+        """The kernel walks blocks of partition._CHUNK_ROWS rows, read when it
+        is called: the values' blocks, then the doubled ranks'."""
+        sizes = []
+        block_sums = citetrace.correlation._block_sums
+
+        def recording(blocks, *args):
+            blocks = list(blocks)
+            sizes.append([len(rows[0]) for rows in blocks])
+            return block_sums(blocks, *args)
+
+        monkeypatch.setattr(citetrace.correlation, "_block_sums", recording)
+        monkeypatch.setattr(partition, "_CHUNK_ROWS", 3)
+        x = [float(v) for v in range(7)]
+        correlation_report([("x", x), ("y", x[::-1]), ("z", [v * v for v in x])])
+        assert sizes == [[3, 3, 1], [3, 3, 1]]
 
 
 class TestPearson:
@@ -418,3 +505,21 @@ class TestCorrelationReport:
         got = [(p.a, p.b, p.n, p.pearson_r, p.pearson_p, p.spearman_rho, p.spearman_p)
                for p in report.pairs]
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected]
+
+    # The parent design held every column's exact integers and doubled ranks
+    # as lists of ints at once, and the whole columns' packs of 256 rows:
+    # a peak of 3.9 MB for lists and 5.4 MB for arrays here.  Row blocks keep
+    # it to the arrays of doubled ranks and one block's integers and packs.
+    @pytest.mark.parametrize("kind", [list, lambda v: array("d", v)], ids=["lists", "arrays"])
+    def test_memory_of_sixteen_columns(self, kind):
+        rng = random.Random(16)
+        columns = [(f"c{i}", kind([rng.lognormvariate(0, 2) * 10.0 ** rng.randint(-3, 3)
+                                   for _ in range(4096)])) for i in range(16)]
+        tracemalloc.start()
+        try:
+            report = correlation_report(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.pairs) == 120
+        assert peak < 2.5 * 2 ** 20

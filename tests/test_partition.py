@@ -4,14 +4,18 @@ import copy
 import pickle
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citetrace import (
+    DatasetFile,
     SummaryRecord,
     ValidationError,
+    dataset_to_json,
     h_index,
+    parse_json,
     plausibility_warnings,
     summarize,
 )
@@ -166,6 +170,26 @@ class TestSummaryValidation:
     def test_empty_name(self):
         with pytest.raises(ValidationError):
             SummaryRecord("", papers=1, h=0, uncited=1, citations=0, core_citations=0)
+
+    # a name of another type once built a record that dataset_to_json wrote
+    # as "name": 5, which parse_json rejects, or that no serializer could write
+    @pytest.mark.parametrize("name, shown", [(5, "5"), (b"a", "b'a'")], ids=["int", "bytes"])
+    def test_name_that_is_no_string(self, name, shown):
+        with pytest.raises(ValidationError) as err:
+            SummaryRecord(name, 1, 1, 0, 1, 1)
+        assert str(err.value) == f"entity name must be a string, got {shown}"
+        with pytest.raises(ValidationError):
+            summarize([1], name)
+
+    def test_name_of_a_str_subclass(self):
+        class Name(str):
+            pass
+
+        for name in (Name("a"), np.str_("a")):
+            record = SummaryRecord(name, 1, 1, 0, 1, 1)
+            assert record.name is name
+            dataset = DatasetFile("summary-csv", (record,))
+            assert parse_json(dataset_to_json(dataset)).records == (record,)
 
     def test_slotted_record_still_checked_on_replace(self):
         rec = SummaryRecord("X", papers=10, h=4, uncited=0, citations=20, core_citations=16)
