@@ -20,7 +20,8 @@ import os
 import re
 import sys
 from array import array
-from itertools import repeat
+from functools import cache
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -158,7 +159,10 @@ def _say(lines: Sequence[str]) -> None:
 def _format_sig(value: float, figures: int) -> str:
     """Rounding to significant figures (tables only): fixed notation up to
     ``_FIXED_WIDTH`` characters, else exponent notation.  p-values of
-    1e-105 still fit."""
+    1e-105 still fit.  The number of decimals follows the exponent of the
+    unrounded value, ``floor(log10|value|)``, so a value that rounds into
+    the next decade keeps one figure more: to 4 figures, 9.9996 is
+    ``10.000`` and 999.95 is ``1000.0``."""
     if value == 0 or not math.isfinite(value):
         return str(value)
     digits = figures - 1 - math.floor(math.log10(abs(value)))
@@ -176,6 +180,70 @@ def _format_sig(value: float, figures: int) -> str:
     return "%.*e" % (figures - 1, value)
 
 
+# Up to this many figures, _float_cells formats a column in one pass.
+_BATCH_FIGURES = 12
+
+
+@cache  # made on first use, for each number of figures
+def _suspect_texts(figures: int) -> frozenset[str]:
+    """The cells of ``_float_cells`` that ``_format_sig`` rewrites: the texts
+    of zeros and powers of ten in fixed notation, of either sign, and ``0``,
+    the rebuilt text of a value below 1."""
+    texts = [("%#.*g" % (figures, value)).rstrip(".")
+             for value in [0.0, *(float(f"1e{e}") for e in range(-4, figures))]]
+    return frozenset(["0", "-0", *texts, *("-" + text for text in texts)])
+
+
+def _float_cells(column: Sequence[float], figures: int) -> list[str]:
+    """``_format_sig`` of each value of a column.  Up to ``_BATCH_FIGURES``
+    figures, one ``%#.Ng`` format of the whole column writes the cells.  A
+    cell in exponent notation is rebuilt as the integer it rounded to, which
+    a float holds exactly below 10**16; ``_format_sig`` rewrites the rest of
+    them, and the zeros and powers of ten in fixed notation (``0.000``,
+    ``1.000``, ``10.00``, ``0.1000``, ...).  ``nan`` and ``inf`` have their
+    ``_format_sig`` texts already.
+
+    Why the other cells are right: ``math.log10`` is within 2 ulp of the
+    logarithm, and an ulp of a number below 512 in magnitude, as every
+    finite float's logarithm is, is at most 2**-44.  So the exponent that
+    ``_format_sig`` takes, ``floor(math.log10(abs(v)))``, can miss the
+    decimal exponent E of v only when log10|v| is within 2**-43 of an
+    integer k, that is when v is within a relative 2**-43 * ln 10 < 2.7e-13
+    of 10**k.  Rounded to N <= 12 figures such a v is 10**k, whose round-off
+    reaches 5e-13 below it and 5e-12 above it; at 13 figures the reach below
+    is 5e-14, and the argument fails.  A cell in fixed notation that is not
+    a power of ten did not round into the next decade, so its ``%#g``
+    exponent is E and is ``_format_sig``'s; then ``%#.Ng`` writes N-1-E
+    decimals, as ``_format_sig`` does, and both round the exact binary value
+    half to even.  Rebuilt from exponent notation, a value below 1 reads
+    ``0`` and is rewritten; one from 10**N to 10**16 has E >= N-1 and is v
+    rounded half to even at the digit of 10**(E-N+1), the integer
+    ``_format_sig`` rounds v to.  Where the exponent of ``_format_sig``
+    misses E by one, v is within 2.7e-13 of 10**k and rounds to it one
+    figure either side of N as well.  Past 12 figures every cell is
+    ``_format_sig``'s."""
+    if figures > _BATCH_FIGURES:
+        return list(map(_format_sig, column, repeat(figures)))
+    suspects = _suspect_texts(figures)
+    # a cell of integer width ends in its decimal point, which the pass keeps
+    text = ((f"%#.{figures}g\n" * len(column)) % tuple(column)).replace(".\n", "\n")
+    cells = text.split("\n")
+    cells.pop()
+    rewrite = []
+    if "e" in text:
+        rows = list(compress(range(len(cells)), map(str.__contains__, cells, repeat("e"))))
+        rounded = list(map(float, map(cells.__getitem__, rows)))
+        for row, cell in zip(rows, map("%.0f".__mod__, rounded)):
+            cells[row] = cell
+        if max(map(abs, rounded)) >= 1e16:
+            rewrite = [row for row, value in zip(rows, rounded) if abs(value) >= 1e16]
+    if not suspects.isdisjoint(cells):
+        rewrite += compress(range(len(cells)), map(suspects.__contains__, cells))
+    for row in rewrite:
+        cells[row] = _format_sig(column[row], figures)
+    return cells
+
+
 def _blocks(columns: Sequence[Sequence], rows: Sequence[int] | None = None,
             ranked: bool = False) -> Iterator[list[Sequence]]:
     """The columns in slices of ``partition._CHUNK_ROWS`` rows: of the rows at
@@ -188,12 +256,23 @@ def _blocks(columns: Sequence[Sequence], rows: Sequence[int] | None = None,
         stop = min(start + partition._CHUNK_ROWS, count)
         if rows is None:
             block = [column[start:stop] for column in columns]
+        elif stop - start == 1:
+            block = [(column[rows[start]],) for column in columns]
         else:
-            picked = rows[start:stop]
-            block = [[column[i] for i in picked] for column in columns]
+            pick = itemgetter(*rows[start:stop])
+            block = list(map(pick, columns))
         if ranked:
             block.insert(0, range(start + 1, stop + 1))
         yield block
+
+
+def _lines(columns: Sequence[Sequence[str]], widths: Sequence[int]) -> Iterator[str]:
+    """The rows of columns of cells as lines: the first column padded on the
+    right to its width, the others on the left, two spaces between; no
+    trailing spaces."""
+    padded = [map(str.rjust, column, repeat(width)) for column, width in zip(columns, widths)]
+    padded[0] = map(str.ljust, columns[0], repeat(widths[0]))
+    return map(str.rstrip, map("  ".join, zip(*padded)))
 
 
 def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
@@ -206,7 +285,7 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
     encoders = {
         str: _one_line,
         int: lambda column: list(map(str, column)),
-        float: lambda column: list(map(_format_sig, column, repeat(figures))),
+        float: lambda column: _float_cells(column, figures),
         type(None): lambda column: [""] * len(column),
     }
     widths = list(map(len, headers))
@@ -215,12 +294,11 @@ def _write_table(headers: Sequence[str], blocks: Iterable[list[Sequence]],
         texts = [encoders[type(column[0])](column) for column in columns]
         widths = [max(width, *map(len, column)) for width, column in zip(widths, texts)]
         pending.append(["\n".join(column) for column in texts])
-    template = "  ".join(f"{{:{'<' if i == 0 else '>'}{w}}}" for i, w in enumerate(widths))
-    yield template.format(*headers).rstrip() + "\n"
+    yield next(_lines([[header] for header in headers], widths)) + "\n"
     pending.reverse()
     while pending:  # each block's text is freed once its lines are written
-        columns = (column.split("\n") for column in pending.pop())
-        yield "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
+        columns = [column.split("\n") for column in pending.pop()]
+        yield "\n".join(_lines(columns, widths)) + "\n"
 
 
 def _echo_report(output: str, headers: Sequence[str], blocks: Iterable[list[Sequence]],

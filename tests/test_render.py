@@ -11,6 +11,7 @@ import random
 import struct
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import pytest
@@ -187,9 +188,6 @@ def test_multi_block_reports_equal_one_shot_rendering(tmp_path, command, output,
     path.write_text("name,P,h,Pz,C,Ch\n" + "".join(
         f"{r.name},{r.papers},{r.h},{r.uncited},{r.citations},{r.core_citations}\n"
         for r in records))
-    args = [command, "--input", str(path), "--output", output]
-    result = CliRunner().invoke(main, args + ["--mask-x3"] * mask_x3, catch_exceptions=False)
-    assert result.exit_code == 0
     scores = [score(r) for r in records]
     if command == "rank":
         scores = rank_entities(scores)
@@ -198,10 +196,16 @@ def test_multi_block_reports_equal_one_shot_rendering(tmp_path, command, output,
     if command == "rank":
         headers = ["rank", *headers]
         rows = [(i, *row) for i, row in enumerate(rows, start=1)]
-    one_shot = {"table": lambda: write_table(headers, rows, 4),
-                "csv": lambda: write_csv(headers, rows),
-                "json": lambda: write_json(headers, rows)}[output]()
-    assert result.stdout == one_shot
+    # a table takes the batched cells up to cli._BATCH_FIGURES figures, and
+    # _format_sig's past them
+    for figures in (1, 4, 12, 13, 17) if output == "table" else (4,):
+        args = [command, "--input", str(path), "--output", output, "--precision", str(figures)]
+        result = CliRunner().invoke(main, args + ["--mask-x3"] * mask_x3, catch_exceptions=False)
+        assert result.exit_code == 0
+        one_shot = {"table": lambda: write_table(headers, rows, figures),
+                    "csv": lambda: write_csv(headers, rows),
+                    "json": lambda: write_json(headers, rows)}[output]()
+        assert result.stdout == one_shot, figures
 
 
 def _drain_peak(chunks) -> int:
@@ -258,6 +262,63 @@ def test_format_sig_sweep_matches_oracle():
             assert text == format_sig(value, figures), (value, figures)
             exponent_texts += "e" in text
     assert exponent_texts > 0
+
+
+def test_float_cells_of_blocks_match_the_oracle(monkeypatch):
+    """The batched float cells of a table against the oracle, in blocks of
+    1, 2, B-1, B and B+1 rows, B the report block size; and blocks of only
+    zeros, of only exponent notation, and of NaN, the infinities and -0.0.
+    Up to cli._BATCH_FIGURES figures the pass writes some cells and
+    _format_sig rewrites others; past it _format_sig writes every cell."""
+    rewritten = []
+    monkeypatch.setattr(cli, "_format_sig", lambda value, figures: rewritten.append(value)
+                        or _format_sig(value, figures))
+    B = partition._CHUNK_ROWS
+    values = _sweep_values()
+    special = [[0.0, -0.0] * 3, [1e300, -2.5e-300, 5e-324, 3.5e17, -9.99e15, 1.2e21, 12345.678],
+               [math.nan, math.inf, -math.inf, -0.0, 1.5]]
+    for figures in range(1, 18):
+        expected = [format_sig(value, figures) for value in values]
+        for size in (1, 2, B - 1, B, B + 1):
+            rewritten.clear()
+            cells = [cell for start in range(0, len(values), size)
+                     for cell in cli._float_cells(values[start:start + size], figures)]
+            assert cells == expected, (figures, size)
+            if figures <= cli._BATCH_FIGURES:
+                assert 0 < len(rewritten) < len(values), (figures, size)
+            else:
+                assert len(rewritten) == len(values), (figures, size)
+        for column in special:
+            assert cli._float_cells(column, figures) == [
+                format_sig(value, figures) for value in column], (figures, column)
+
+
+def test_batched_figures_end_where_log10_could_misjudge_a_decade():
+    """The bound of cli._float_cells.  math.log10 is within 2 ulp of the
+    logarithm here, on values either side of powers of ten and over the
+    float range; so floor(log10|v|) can miss the decimal exponent only for
+    v within a relative 2**-43 * ln 10 of a power of ten.  Every float that
+    close to 10**k rounds to 10**k up to cli._BATCH_FIGURES figures, and
+    not at one figure more."""
+    values = [value for value in _sweep_values()[:8_000] if value != 0 and math.isfinite(value)]
+    for k in range(-307, 309, 7):
+        value = float(f"1e{k}")
+        values += [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
+    with localcontext() as context:
+        context.prec = 60
+        for value in values:
+            exact = Decimal(abs(value)).log10()
+            assert abs(Decimal(math.log10(abs(value))) - exact) <= 2 * Decimal(
+                math.ulp(float(exact))), value
+        margin = Decimal(2) ** -43 * Decimal(10).ln()
+        for k in range(-307, 309):
+            power = Decimal(10) ** k
+            low, high = float(power * (1 - margin)), float(power * (1 + margin))
+            for figures in range(1, cli._BATCH_FIGURES + 1):
+                ten = "1" + "." * (figures > 1) + "0" * (figures - 1) + f"e{k:+03d}"
+                assert "%.*e" % (figures - 1, low) == "%.*e" % (figures - 1, high) == ten, (k, figures)
+            figures = cli._BATCH_FIGURES + 1
+            assert not ("%.*e" % (figures - 1, low)).startswith("1."), k
 
 
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
