@@ -316,7 +316,8 @@ def test_batched_figures_end_where_log10_could_misjudge_a_decade():
             low, high = float(power * (1 - margin)), float(power * (1 + margin))
             for figures in range(1, cli._BATCH_FIGURES + 1):
                 ten = "1" + "." * (figures > 1) + "0" * (figures - 1) + f"e{k:+03d}"
-                assert "%.*e" % (figures - 1, low) == "%.*e" % (figures - 1, high) == ten, (k, figures)
+                assert "%.*e" % (figures - 1, low) == ten, (k, figures)
+                assert "%.*e" % (figures - 1, high) == ten, (k, figures)
             figures = cli._BATCH_FIGURES + 1
             assert not ("%.*e" % (figures - 1, low)).startswith("1."), k
 
