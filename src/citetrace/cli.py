@@ -48,11 +48,37 @@ class UsageError(Exception):
     """A command line that cannot run: printed after the usage, exit code 2."""
 
 
+# The capacity of a Linux pipe, in bytes: _emit writes whole multiples of it.
+_PIPE_BYTES = 1 << 16
+
+
+def _pieces(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of chunks in pieces of whole multiples of ``_PIPE_BYTES``
+    characters, and what is left over last."""
+    pending, count = [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        count += len(chunk)
+        if count >= _PIPE_BYTES:
+            text = "".join(pending)
+            cut = count - count % _PIPE_BYTES
+            yield text[:cut]
+            pending, count = [text[cut:]], count - cut
+    if count:
+        yield "".join(pending)
+
+
 def _emit(stream: TextIO, chunks: Iterable[str]) -> None:
     """Write text to a standard stream as given.  A stream whose encoding
     is ASCII gets the text as UTF-8 with any character UTF-8 cannot hold
-    replaced, instead of an encoding error."""
+    replaced, instead of an encoding error.
+
+    The text goes out in ``_pieces``, one write each: a reader at the
+    other end of a pipe then reads ASCII text in full pipes whatever the
+    scheduling, not a block or a line at a time as they happen to arrive,
+    and the warnings of a large input take one write, not one a line."""
     buffer = getattr(stream, "buffer", None)
+    chunks = _pieces(chunks)
     try:
         ascii_stream = codecs.lookup(getattr(stream, "encoding", None) or "ascii").name == "ascii"
     except LookupError:

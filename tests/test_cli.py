@@ -240,6 +240,50 @@ def test_non_ascii_path_in_a_usage_error_is_written_as_utf8(env):
         "citetrace compute: error: input file not found: tests/data/missing_Zoë.csv\n".encode())
 
 
+class _WriteSizes(io.RawIOBase):
+    """A raw stream that keeps what is written to it and the size of each write."""
+
+    def __init__(self):
+        self.sizes, self.data = [], bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.sizes.append(len(b))
+        self.data += b
+        return len(b)
+
+
+def _text_stream(encoding, line_buffering):
+    raw = _WriteSizes()
+    return io.TextIOWrapper(io.BufferedWriter(raw), encoding=encoding,
+                            line_buffering=line_buffering), raw
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_a_report_is_written_in_whole_pipes(encoding):
+    """Every write to the file descriptor but the last is a whole multiple
+    of a pipe's capacity, whatever the sizes of the chunks."""
+    stream, raw = _text_stream(encoding, line_buffering=False)
+    chunks = [("x" * 160 + "\n") * 257] * 6 + ["y" * 3 * cli._PIPE_BYTES, "z\n" * 5000, "end\n"]
+    cli._emit(stream, chunks)
+    stream.flush()
+    assert raw.data == "".join(chunks).encode()
+    assert len(raw.sizes) > 4
+    assert all(size % cli._PIPE_BYTES == 0 for size in raw.sizes[:-1])
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_warnings_take_one_write_not_one_a_line(encoding, monkeypatch):
+    stream, raw = _text_stream(encoding, line_buffering=True)  # as stderr is
+    monkeypatch.setattr(sys, "stderr", stream)
+    lines = [f"warning: s{i:06d}: tail citations below tail paper count" for i in range(400)]
+    cli._say(lines)
+    assert raw.data == "".join(line + "\n" for line in lines).encode()
+    assert raw.sizes == [len(raw.data)]
+
+
 class TestRank:
     def test_lis_group_by_trace_matches_golden_order(self, runner):
         result = invoke(runner, ["rank", "--input", "corpus", "--group", "LIS",
