@@ -7,14 +7,14 @@ json output never rounds.  Exit codes: 0 success, 1 validation or
 comparison failure, 2 usage error.  Names and other text are written
 byte for byte as given, escape sequences included; only a table cell and
 a ``warning:``, ``error:`` or usage-error line write each character at
-which ``str.splitlines`` splits as its Python escape, such as ``\\n``.  A
-stream whose encoding is ASCII gets UTF-8.
+which ``str.splitlines`` splits as its Python escape, such as ``\\n``.
+Every standard stream gets UTF-8, whatever its encoding.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
+import contextlib
 import math
 import os
 import re
@@ -69,27 +69,23 @@ def _pieces(chunks: Iterable[str]) -> Iterator[str]:
 
 
 def _emit(stream: TextIO, chunks: Iterable[str]) -> None:
-    """Write text to a standard stream as given.  A stream whose encoding
-    is ASCII gets the text as UTF-8 with any character UTF-8 cannot hold
-    replaced, instead of an encoding error.
+    """Write text to a standard stream as UTF-8, whatever the stream's
+    encoding, with any character UTF-8 cannot hold written as its Python
+    escape.  A stream with no byte buffer, such as ``io.StringIO``, takes
+    the text as it is.
 
     The text goes out in ``_pieces``, one write each: a reader at the
     other end of a pipe then reads ASCII text in full pipes whatever the
     scheduling, not a block or a line at a time as they happen to arrive,
     and the warnings of a large input take one write, not one a line."""
     buffer = getattr(stream, "buffer", None)
-    chunks = _pieces(chunks)
-    try:
-        ascii_stream = codecs.lookup(getattr(stream, "encoding", None) or "ascii").name == "ascii"
-    except LookupError:
-        ascii_stream = False
-    if buffer is None or not ascii_stream:
-        for chunk in chunks:
+    if buffer is None:
+        for chunk in _pieces(chunks):
             stream.write(chunk)
         return
     stream.flush()
-    for chunk in chunks:
-        buffer.write(chunk.encode("utf-8", "replace"))
+    for chunk in _pieces(chunks):
+        buffer.write(chunk.encode("utf-8", "backslashreplace"))
     buffer.flush()
 
 
@@ -496,10 +492,14 @@ _DESCRIPTION = "h-index core/tail analytics: performance matrices and academic t
 
 
 class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        """argparse's help and usage text, written through ``_emit``."""
+        if message:
+            _emit(file or sys.stderr, [message])
+
     def error(self, message: str):
-        """argparse's usage error, written through ``_emit``, as UTF-8 on an
-        ASCII stderr, with the message on one line."""
-        _emit(sys.stderr, [self.format_usage()])
+        """argparse's usage error, with the message on one line."""
+        self.print_usage(sys.stderr)
         _say([f"{self.prog}: error: {message}"])
         raise SystemExit(2)
 
@@ -552,10 +552,17 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None,
     ``SystemExit`` with any other code."""
     try:
         code = _run(sys.argv[1:] if args is None else list(args), prog_name or "citetrace")
-        sys.stdout.flush()
-    except BrokenPipeError:  # stdout's reader left early, as `| head` does
-        # point stdout at devnull, so that the flush at exit fails no more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as err:  # a failed write: a reader that left early, as `| head` does, or a full disk
+        if not isinstance(err, BrokenPipeError):
+            with contextlib.suppress(OSError):  # unless stderr is what failed
+                _say([f"error: cannot write output: {err.strerror or err}"])
+        for stream in sys.stdout, sys.stderr:
+            try:
+                stream.flush()
+            except OSError:  # point it at devnull, so that the flush at exit fails no more
+                with contextlib.suppress(OSError, ValueError):  # a stream with no file descriptor
+                    fd = stream.fileno()
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         code = 1
     except KeyboardInterrupt:
         _emit(sys.stderr, ["\nAborted!\n"])

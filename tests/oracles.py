@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath
-import numpy as np
 
 
 class Weights(NamedTuple):
@@ -81,8 +80,9 @@ def scores_row(record) -> tuple:
             x1 + y2 + z3, "positive" if exact > 0 else "nonpositive")
 
 
-def midranks_loop(values: Sequence[float]) -> np.ndarray:
+def midranks_loop(values: Sequence[float]) -> "np.ndarray":
     """Midranks by walking each run of tied values in sorted order."""
+    import numpy as np  # here: no other oracle needs it
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="mergesort")
     ranks = np.empty(v.size, dtype=float)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, determinism, exit codes."""
 
 import csv
+import errno
 import io
 import itertools
 import json
@@ -211,8 +212,9 @@ def test_help_holds_every_command_and_option(args):
 
 
 ENCODINGS = pytest.mark.parametrize(
-    "env", [{"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "ascii"}],
-    ids=["C.UTF-8", "C", "ascii"])
+    "env", [{"LC_ALL": "C.UTF-8"}, {"LC_ALL": "C"},
+            *({"PYTHONIOENCODING": name} for name in ["ascii", "latin-1", "cp1252", "utf-16"])],
+    ids=["C.UTF-8", "C", "ascii", "latin-1", "cp1252", "utf-16"])
 
 
 def _run_in_locale(args, env):
@@ -261,7 +263,7 @@ def _text_stream(encoding, line_buffering):
                             line_buffering=line_buffering), raw
 
 
-@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "latin-1"])
 def test_a_report_is_written_in_whole_pipes(encoding):
     """Every write to the file descriptor but the last is a whole multiple
     of a pipe's capacity, whatever the sizes of the chunks."""
@@ -274,7 +276,7 @@ def test_a_report_is_written_in_whole_pipes(encoding):
     assert all(size % cli._PIPE_BYTES == 0 for size in raw.sizes[:-1])
 
 
-@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "latin-1"])
 def test_warnings_take_one_write_not_one_a_line(encoding, monkeypatch):
     stream, raw = _text_stream(encoding, line_buffering=True)  # as stderr is
     monkeypatch.setattr(sys, "stderr", stream)
@@ -282,6 +284,102 @@ def test_warnings_take_one_write_not_one_a_line(encoding, monkeypatch):
     cli._say(lines)
     assert raw.data == "".join(line + "\n" for line in lines).encode()
     assert raw.sizes == [len(raw.data)]
+
+
+class _Full(io.RawIOBase):
+    """A raw stream, with no file descriptor, whose every write raises
+    error until ``full`` is cleared."""
+
+    def __init__(self, error):
+        self.error, self.full = error, True
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        if self.full:
+            raise self.error
+        return len(b)
+
+
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+CLOSED_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("error, said", [
+    (NO_SPACE, f"error: cannot write output: {NO_SPACE.strerror}\n"), (CLOSED_PIPE, "")],
+    ids=["full", "closed-pipe"])
+def test_a_failed_write_in_process_exits_one(error, said, monkeypatch):
+    """Every failed write ends the call alike, a closed pipe silently; on
+    a stream with no file descriptor the handler raises nothing more."""
+    raw, err = _Full(error), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw)))
+    monkeypatch.setattr(sys, "stderr", err)
+    with pytest.raises(SystemExit) as exit:
+        main(["rank", "--input", "corpus"], standalone_mode=False)
+    raw.full = False  # so that the stream's flush when it is freed succeeds
+    assert (exit.value.code, err.getvalue()) == (1, said)
+
+
+def test_a_failed_stderr_in_process_exits_one(monkeypatch):
+    raw, out = _Full(NO_SPACE), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(io.BufferedWriter(raw),
+                                                        line_buffering=True))
+    with pytest.raises(SystemExit) as exit:
+        main(["compute", "--input", str(DATA / "summary_small.csv")], standalone_mode=False)
+    raw.full = False
+    assert (exit.value.code, out.getvalue()) == (1, "")
+
+
+# Whether Python buffers the standard streams' bytes: it does unless
+# PYTHONUNBUFFERED is set, and a failed write leaves a buffer full.
+BUFFERING = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestWriteToFullDevice:
+    """A stream on /dev/full, whose every write fails: exit 1 with one
+    ``error:`` line on stderr, or none when stderr is what failed; never a
+    traceback, and never Python's exit code 120 for a failed final flush."""
+
+    @staticmethod
+    def _run(args, full, unbuffered):
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with open("/dev/full", "wb") as device:
+            streams[full] = device
+            return subprocess.run([sys.executable, "-c", ENTRY, *args], **streams, timeout=60,
+                                  cwd=DATA.parent.parent,
+                                  env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+
+    @BUFFERING
+    @pytest.mark.parametrize("args", [["rank", "--input", "corpus"], ["--help"]],
+                             ids=["report", "help"])
+    def test_stdout(self, args, unbuffered):
+        proc = self._run(args, "stdout", unbuffered)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: cannot write output: {NO_SPACE.strerror}\n".encode())
+
+    @BUFFERING
+    def test_warnings_on_stderr(self, unbuffered):
+        proc = self._run(SNAPSHOTS["compute_summary_small.txt"], "stderr", unbuffered)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+
+
+@BUFFERING
+def test_a_reader_that_leaves_early_ends_the_call_quietly(tmp_path, unbuffered):
+    """``compute ... | head -1``: exit 1, with no traceback and no
+    ``Exception ignored`` on stderr."""
+    path = tmp_path / "many.csv"
+    path.write_text("name,P,h,Pz,C,Ch\n" + "".join(f"J{i},105,18,5,1132,574\n"
+                                                   for i in range(5000)))
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, "compute", "--input", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    assert proc.stdout.readline().startswith(b"name ")
+    proc.stdout.close()  # the output is ten full pipes: a later write fails
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 class TestRank:
@@ -391,6 +489,20 @@ class TestCorrelate:
         trailing = invoke(runner, ["correlate", "--input", "corpus", "--output", "csv", "T", "h"])
         assert between.exit_code == 0 and between.stdout
         assert between.stdout_bytes == trailing.stdout_bytes
+
+    def test_one_column_is_usage_error(self, runner):
+        result = runner.invoke(main, ["correlate", "--input", "corpus", "T"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith(
+            "citetrace correlate: error: need at least two columns to correlate\n")
+
+    def test_unnamed_metric_column_is_one_line_error(self, runner, tmp_path):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("name,,IF\nNature,1.0,2.0\n")
+        result = runner.invoke(main, ["correlate", "--input", "corpus",
+                                      "--metric-file", str(metrics)])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", "error: metric CSV has an unnamed metric column\n")
 
     def test_unknown_column_is_usage_error(self, runner, tmp_path):
         data = tmp_path / "trio.csv"

@@ -451,6 +451,9 @@ class TestCorrelationReport:
         assert report.pairs[0].spearman_p is None
         assert report.pairs[0].pearson_stars == ""
 
+    def test_one_column_has_no_pairs(self):
+        assert correlation_report([("T", (1.0, 2.0, 3.0))]).pairs == ()
+
     def test_column_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             correlation_report([("a", (1, 2)), ("b", (1, 2, 3))])

@@ -38,6 +38,10 @@ class TestCorpusIntegrity:
             (5121, 192, 1834, 182649, 66109)
         assert rec.group == GROUP_MULTI
 
+    def test_unknown_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            reference_corpus().record("nobody")
+
     def test_known_unit_record(self):
         rec = reference_corpus().record("Leydesdorff L")
         assert (rec.papers, rec.h, rec.uncited, rec.citations, rec.core_citations) == \
